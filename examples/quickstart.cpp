@@ -80,7 +80,7 @@ int main() {
               [&] { double s = 0; for (double v : load) s += v; return s; }());
   std::printf("VARIANCE : %.3f (uniform(0,10) true %.3f)\n",
               core::variance_estimate(avg_sq, avg), 100.0 / 12.0);
-  std::printf("\nNext: examples/load_balancing, examples/network_monitoring,"
-              " examples/threaded_runtime\n");
+  std::printf("\nNext: examples/load_balancing,"
+              " examples/network_monitoring\n");
   return 0;
 }

@@ -1,8 +1,8 @@
 // Environment-variable configuration knobs.
 //
-// The benchmark harness scales the paper's experiments down by default so a
-// full `for b in build/bench/*` sweep finishes in minutes; these helpers
-// read the GOSSIP_* overrides that restore paper scale.
+// gossip_run scales the paper's experiments down by default so a sweep
+// over every registered scenario finishes in minutes; these helpers read
+// the GOSSIP_* overrides that restore paper scale.
 #pragma once
 
 #include <cstdint>

@@ -64,14 +64,10 @@ inline constexpr std::uint64_t kRuntimeDriver = 0xd21fe7a9b4c3580fULL;
 /// Deployment-runtime per-worker RNG pool seed.
 inline constexpr std::uint64_t kRuntimeWorkerPool = 0x9c0b5e1fd2a68734ULL;
 
-/// Thread-per-node runtime's lossy in-memory network.
-inline constexpr std::uint64_t kThreadedLossNet = 0x9e3779b97f4a7c15ULL;
-
-inline constexpr std::array<std::uint64_t, 10> kStreamSalts = {
+inline constexpr std::array<std::uint64_t, 9> kStreamSalts = {
     kEngineInitValues, kEngineGraph,      kEngineFaults,
     kIntraRepNewscast, kIntraRepAgg,      kDriftDelta,
     kAdversaryMembership, kRuntimeDriver, kRuntimeWorkerPool,
-    kThreadedLossNet,
 };
 
 // ---------------------------------------------------------------------
@@ -170,8 +166,7 @@ static_assert(contains(kStreamSalts, kEngineInitValues) &&
                   contains(kStreamSalts, kDriftDelta) &&
                   contains(kStreamSalts, kAdversaryMembership) &&
                   contains(kStreamSalts, kRuntimeDriver) &&
-                  contains(kStreamSalts, kRuntimeWorkerPool) &&
-                  contains(kStreamSalts, kThreadedLossNet),
+                  contains(kStreamSalts, kRuntimeWorkerPool),
               "stream salt declared but not registered in kStreamSalts");
 static_assert(contains(kNodeStreamMultipliers, kMulCycle) &&
                   contains(kNodeStreamMultipliers, kMulNode) &&

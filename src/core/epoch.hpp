@@ -14,8 +14,8 @@
 
 namespace gossip::core {
 
-/// Pure epoch bookkeeping, shared by the cycle driver, the event-driven
-/// stack and the threaded runtime.
+/// Pure epoch bookkeeping, shared by the cycle engines' service pipeline
+/// and the event-driven stack.
 class EpochMachine {
 public:
   /// `cycles_per_epoch` is the paper's γ (30 in all §7 experiments).

@@ -1,328 +1,43 @@
 #include "experiment/cycle_sim.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <type_traits>
-
-#include "stats/summary.hpp"
-
-#include "common/stream_salt.hpp"
-#include "core/multi_instance.hpp"
-#include "core/update.hpp"
-#include "overlay/generators.hpp"
 
 namespace gossip::experiment {
 
-double drift_delta(const DriftSpec& drift, std::uint64_t stream_seed,
-                   std::uint32_t cycle, std::uint32_t node) {
-  switch (drift.kind) {
-    case DriftSpec::Kind::kNone:
-      return 0.0;
-    case DriftSpec::Kind::kLinear:
-      return cycle >= drift.start_cycle ? drift.rate : 0.0;
-    case DriftSpec::Kind::kRandomWalk: {
-      if (cycle < drift.start_cycle) return 0.0;
-      // Same keying as IntraRepSimulation::node_stream — a pure function
-      // of (seed, cycle, node), one splitmix64 output mapped to [-1, 1).
-      // The dedicated drift salt keeps the stream off every other
-      // per-(cycle,node) stream (registry-checked distinct).
-      std::uint64_t s = salt::node_stream_key(stream_seed, cycle, node,
-                                              salt::kDriftDelta);
-      const std::uint64_t h = splitmix64(s);
-      const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
-      return drift.rate * (2.0 * u01 - 1.0);
-    }
-    case DriftSpec::Kind::kStep:
-      return cycle == drift.start_cycle ? drift.magnitude : 0.0;
-  }
-  return 0.0;
-}
-
-std::vector<NodeId> elect_count_leaders(Rng& rng, std::uint32_t nodes,
-                                        std::uint32_t instances,
-                                        std::vector<double>& estimates) {
-  std::vector<NodeId> leaders;
-  leaders.reserve(instances);
-  for (std::uint64_t raw : rng.sample_distinct(nodes, instances)) {
-    leaders.emplace_back(static_cast<std::uint32_t>(raw));
-  }
-  std::fill(estimates.begin(), estimates.end(), 0.0);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    estimates[static_cast<std::size_t>(leaders[i].value()) * instances + i] =
-        1.0;
-  }
-  return leaders;
-}
-
-double robust_combine_receive(const CombineSpec& combine, std::uint32_t u,
-                              double own, double report,
-                              std::vector<double>& window,
-                              std::uint8_t* wfill, std::uint8_t* wpos,
-                              std::vector<double>& scratch,
-                              std::vector<double>& means) {
-  const std::uint32_t w = combine.window;
-  window[static_cast<std::size_t>(u) * w + wpos[u]] = report;
-  wpos[u] = static_cast<std::uint8_t>((wpos[u] + 1) % w);
-  if (wfill[u] < w) ++wfill[u];
-  scratch.clear();
-  scratch.push_back(own);
-  const std::uint8_t n = wfill[u];
-  const double* ring = &window[static_cast<std::size_t>(u) * w];
-  for (std::uint8_t k = 0; k < n; ++k) {
-    scratch.push_back(ring[(wpos[u] + w - n + k) % w]);
-  }
-  if (combine.kind == CombineSpec::Kind::kTrimmedMean) {
-    const auto trim = static_cast<std::size_t>(
-        combine.alpha * static_cast<double>(scratch.size()));
-    return stats::trimmed_mean(scratch, trim);
-  }
-  // Median of means over contiguous time-ordered groups.
-  const auto g = std::min<std::size_t>(combine.groups, scratch.size());
-  means.clear();
-  for (std::size_t j = 0; j < g; ++j) {
-    const std::size_t lo = j * scratch.size() / g;
-    const std::size_t hi = (j + 1) * scratch.size() / g;
-    double sum = 0.0;
-    for (std::size_t k = lo; k < hi; ++k) sum += scratch[k];
-    means.push_back(sum / static_cast<double>(hi - lo));
-  }
-  return stats::summarize(means).median;
-}
-
-double robust_size_estimate(const double* slots, std::uint32_t instances,
-                            std::vector<double>& scratch) {
-  scratch.resize(instances);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    scratch[i] = slots[i] > 0.0
-                     ? 1.0 / slots[i]
-                     : std::numeric_limits<double>::infinity();
-  }
-  return core::robust_combine(scratch);
-}
-
 CycleSimulation::CycleSimulation(const SimConfig& config, Rng rng)
-    : config_(config), rng_(rng), population_(config.nodes) {
-  GOSSIP_REQUIRE(config.nodes >= 2, "simulation needs at least two nodes");
-  GOSSIP_REQUIRE(config.instances >= 1, "need at least one instance");
-  estimates_.assign(static_cast<std::size_t>(config.nodes) *
-                        config.instances,
-                    0.0);
-  participant_.assign(config.nodes, 1);
-  // Aggregation-level deviations (byzantine reports, robust combine) take
-  // the general exchange path; cache pollution only touches newscast, so
-  // the aggregation loop stays on the plain paper path.
-  const bool agg_adversary =
-      config.adversary.enabled() &&
-      config.adversary.behavior != AdversarySpec::Behavior::kCachePollute;
-  general_ = agg_adversary || config.combine.robust();
-  exclude_byz_stats_ = agg_adversary;
-  GOSSIP_REQUIRE(!general_ || config.instances == 1,
-                 "adversary/robust combine need instances == 1");
-  GOSSIP_REQUIRE(!(config.drift.enabled() || config.service.enabled()) ||
-                     config.instances == 1,
-                 "drift/service need instances == 1");
-  GOSSIP_REQUIRE(!(config.service.enabled() && config.epoch_restarts),
-                 "service pipelining replaces epoch restarts");
-  if (config.service.enabled()) {
-    epoch_machine_.emplace(config.service.epoch_cycles);
-  }
-  byz_.assign(config.nodes, 0);
-  if (config.adversary.enabled()) {
-    for (std::uint32_t u = 0; u < config.nodes; ++u) {
-      byz_[u] = config.adversary.is_byzantine(u) ? 1 : 0;
-    }
-  }
-  build_topology();
-}
-
-void CycleSimulation::build_topology() {
-  const auto& topo = config_.topology;
-  switch (topo.kind) {
-    case TopologyKind::kComplete:
-      sampler_.emplace<overlay::CompletePeerSampler>(population_);
-      break;
-    case TopologyKind::kRandomKOut:
-      graph_ = overlay::random_k_out(config_.nodes, topo.degree, rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kRingLattice:
-      graph_ = overlay::ring_lattice(config_.nodes, topo.degree);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kWattsStrogatz:
-      graph_ = overlay::watts_strogatz(config_.nodes, topo.degree, topo.beta,
-                                       rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kBarabasiAlbert:
-      graph_ = overlay::barabasi_albert(config_.nodes, topo.degree / 2, rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kNewscast:
-      newscast_ =
-          std::make_unique<membership::NewscastNetwork>(topo.cache_size);
-      newscast_->bootstrap_random(config_.nodes, 0, rng_);
-      sampler_.emplace<membership::NewscastPeerSampler>(*newscast_);
-      break;
+    : SimulationCore(config, rng, overlay::Population(config.nodes)) {
+  if (newscast_) {
+    sampler_.emplace<membership::NewscastPeerSampler>(*newscast_);
+  } else if (config.topology.kind == TopologyKind::kComplete) {
+    sampler_.emplace<overlay::CompletePeerSampler>(population_);
+  } else {
+    sampler_.emplace<overlay::GraphPeerSampler>(graph_);
   }
 }
 
-void CycleSimulation::init_scalar(
-    const std::function<double(NodeId)>& value_of) {
-  GOSSIP_REQUIRE(config_.instances == 1,
-                 "scalar initialization needs instances == 1");
-  GOSSIP_REQUIRE(!ran_, "cannot re-initialize a finished run");
-  for (std::uint32_t u = 0; u < config_.nodes; ++u) {
-    estimates_[u] = value_of(NodeId(u));
-  }
-  initialized_ = true;
+std::uint32_t CycleSimulation::kill_range(std::uint32_t lo, std::uint32_t hi,
+                                          std::uint32_t max_kills) {
+  return population_.kill_range(lo, hi, max_kills);
 }
 
-void CycleSimulation::init_peak(double peak, std::uint32_t peak_holder) {
-  GOSSIP_REQUIRE(peak_holder < config_.nodes, "peak holder out of range");
-  init_scalar([peak, peak_holder](NodeId id) {
-    return id.value() == peak_holder ? peak : 0.0;
-  });
-}
-
-void CycleSimulation::init_count_leaders() {
-  GOSSIP_REQUIRE(!ran_, "cannot re-initialize a finished run");
-  GOSSIP_REQUIRE(config_.update == core::UpdateKind::kAverage,
-                 "COUNT is built on averaging (§5)");
-  GOSSIP_REQUIRE(config_.instances <= config_.nodes,
-                 "more instances than nodes");
-  leaders_ = elect_count_leaders(rng_, config_.nodes, config_.instances,
-                                 estimates_);
-  initialized_ = true;
-}
-
-void CycleSimulation::apply_failures(const failure::CycleEvent& event,
-                                     std::uint64_t now) {
-  // Over-killing plans (a wave over an already shrunken population, a
-  // crash rate above the live count) are clamped so at least one node
-  // survives: targeted range kills spend the budget first, then the
-  // uniform kills take what remains.
-  const std::uint32_t live0 = population_.live_count();
-  std::uint32_t budget = live0 > 0 ? live0 - 1 : 0;
-  if (event.kill_hi > event.kill_lo) {
-    budget -= population_.kill_range(event.kill_lo, event.kill_hi, budget);
-  }
-  const std::uint32_t kills = std::min(event.kills, budget);
+void CycleSimulation::kill_uniform(std::uint32_t kills) {
   for (std::uint32_t k = 0; k < kills; ++k) {
     population_.kill(population_.sample_live(rng_));
   }
-  if (event.joins == 0) return;
-  GOSSIP_REQUIRE(config_.topology.kind == TopologyKind::kNewscast ||
-                     config_.topology.kind == TopologyKind::kComplete,
-                 "joins need a dynamic overlay (newscast or complete)");
-  // Joins only ever grow the per-node arrays; reserve the whole batch up
-  // front so churn plans don't pay a reallocation per joiner.
-  estimates_.reserve(estimates_.size() +
-                     static_cast<std::size_t>(event.joins) *
-                         config_.instances);
-  participant_.reserve(participant_.size() + event.joins);
-  if (newscast_) newscast_->reserve_joins(event.joins);
-  for (std::uint32_t j = 0; j < event.joins; ++j) {
-    const NodeId contact = population_.sample_live(rng_);
-    const NodeId fresh = population_.add();
-    estimates_.insert(estimates_.end(), config_.instances, 0.0);
-    participant_.push_back(0);  // §4.2: joiners sit out the epoch
-    if (!values_.empty()) values_.push_back(0.0);
-    byz_.push_back(config_.adversary.is_byzantine(fresh.value()) ? 1 : 0);
-    if (newscast_) newscast_->add_node(fresh, contact, now);
-  }
-}
-
-void CycleSimulation::pin_injected_values() {
-  // value_inject adversaries hold the outlier forever: their slot is set
-  // once and receive_report() never overwrites it.
-  if (config_.adversary.behavior != AdversarySpec::Behavior::kValueInject) {
-    return;
-  }
-  for (std::uint32_t u = 0; u < population_.total(); ++u) {
-    if (byz_[u]) estimates_[u] = config_.adversary.value;
-  }
-}
-
-void CycleSimulation::apply_restart() {
-  // §4.2 epoch boundary: every node re-seeds from its local value —
-  // the *current* one when drift maintains values_, the run-start
-  // snapshot otherwise (joiners restart from their join-time default of
-  // 0) — and every live node, including previously sitting-out joiners,
-  // participates in the new epoch.
-  GOSSIP_REQUIRE(!initial_.empty() || !values_.empty(),
-                 "restart without a seed snapshot would zero every "
-                 "estimate — the plan emitted a restart the driver never "
-                 "prepared for");
-  if (!values_.empty()) {
-    std::copy(values_.begin(), values_.end(), estimates_.begin());
-  } else {
-    std::copy(initial_.begin(), initial_.end(), estimates_.begin());
-    std::fill(estimates_.begin() +
-                  static_cast<std::ptrdiff_t>(initial_.size()),
-              estimates_.end(), 0.0);
-  }
-  for (NodeId u : population_.live()) participant_[u.value()] = 1;
-  pin_injected_values();
-  flush_combine_windows();
-}
-
-void CycleSimulation::flush_combine_windows() {
-  // Re-initialization boundary (restart or pipelined epoch roll): reports
-  // received before the boundary summarize dead-epoch estimates; leaving
-  // them in the robust-combine rings would bias the first post-boundary
-  // estimates toward the old epoch. Drop the contents, not just the
-  // fill/position counters, so no stale report can ever be read back.
-  if (wfill_.empty()) return;
-  std::fill(window_.begin(), window_.end(), 0.0);
-  std::fill(wfill_.begin(), wfill_.end(), 0);
-  std::fill(wpos_.begin(), wpos_.end(), 0);
 }
 
 void CycleSimulation::apply_drift(std::uint32_t cycle) {
-  // Mass-preserving dynamic values: node u's underlying value moves by
-  // drift_delta and u folds the same delta into its running estimate, so
-  // the in-flight averages track the moving mean without a restart.
-  // Byzantine nodes are skipped — their reported estimate is pinned by
-  // the adversary model and their "value" never enters honest statistics.
-  for (NodeId u : population_.live()) {
-    const std::uint32_t id = u.value();
-    if (byz_[id]) continue;
-    const double d =
-        drift_delta(config_.drift, config_.stream_seed, cycle, id);
-    if (d == 0.0) continue;
-    values_[id] += d;
-    if (participant_[id]) estimates_[id] += d;
-  }
+  drift_range(cycle, 0, population_.total());
 }
 
-void CycleSimulation::service_cycle(std::uint32_t cycle) {
-  // Epoch pipelining: on the boundary, publish the epoch's converged
-  // report (the mean the statistics layer just recorded) and re-seed the
-  // next epoch from the current local values — restart-free continuous
-  // operation. The published snapshot keeps serving queries while the
-  // next epoch converges.
-  const std::uint64_t ending = epoch_machine_->epoch();
-  if (epoch_machine_->advance_cycle()) {
-    store_.publish(0, cycle_stats_.back().mean(), ending, cycle + 1);
-    std::copy(values_.begin(), values_.end(), estimates_.begin());
-    for (NodeId u : population_.live()) participant_[u.value()] = 1;
-    pin_injected_values();
-    flush_combine_windows();
+void CycleSimulation::exchange_cycle(std::uint32_t cycle) {
+  if (newscast_) {
+    newscast_->run_cycle(population_, cycle + 1, rng_,
+                         pollutes_caches() ? &byz_ : nullptr);
   }
-  // One query per cycle from first publication on: how stale is the
-  // served answer and how far is it from the *current* true mean?
-  if (const auto ans = store_.query(0, cycle + 1)) {
-    staleness_.push_back(ans->age_cycles);
-    served_error_.push_back(std::abs(ans->value - true_mean_));
-  }
-}
-
-void CycleSimulation::aggregation_cycle(std::uint32_t cycle) {
   // One variant visit per cycle; the loop body is stamped out per
   // concrete sampler so GETNEIGHBOR() fully inlines (the monostate arm is
-  // unreachable: build_topology always installs a sampler).
+  // unreachable: the constructor always installs a sampler).
   std::visit(
       [this, cycle](auto& sampler) {
         if constexpr (!std::is_same_v<std::decay_t<decltype(sampler)>,
@@ -333,28 +48,9 @@ void CycleSimulation::aggregation_cycle(std::uint32_t cycle) {
       sampler_);
 }
 
-void CycleSimulation::receive_report(std::uint32_t u, double* slot,
-                                     double report) {
-  if (byz_[u]) {
-    // value_inject keeps its pinned outlier; always_max hoards the max.
-    if (config_.adversary.behavior == AdversarySpec::Behavior::kAlwaysMax) {
-      slot[0] = core::apply_update(core::UpdateKind::kMax, slot[0], report);
-    }
-    return;
-  }
-  if (!config_.combine.robust()) {
-    slot[0] = core::apply_update(config_.update, slot[0], report);
-    return;
-  }
-  slot[0] = robust_combine_receive(config_.combine, u, slot[0], report,
-                                   window_, wfill_.data(), wpos_.data(),
-                                   combine_scratch_, combine_means_);
-}
-
 template <typename Sampler>
 void CycleSimulation::aggregation_cycle_with(Sampler& sampler,
                                              std::uint32_t cycle) {
-  const std::uint32_t t = config_.instances;
   // The per-cycle permutation reuses a member scratch buffer: at N=100k
   // the old copy-construct allocated 400 KB per cycle per rep.
   const auto& live = population_.live();
@@ -362,12 +58,6 @@ void CycleSimulation::aggregation_cycle_with(Sampler& sampler,
   rng_.shuffle(order_scratch_);
   const std::uint32_t total = population_.total();
   const bool partitioned = config_.partition.active(cycle);
-  if (general_ && config_.combine.robust()) {
-    window_.resize(static_cast<std::size_t>(total) * config_.combine.window,
-                   0.0);
-    wfill_.resize(total, 0);
-    wpos_.resize(total, 0);
-  }
   for (NodeId p : order_scratch_) {
     if (!population_.alive_unchecked(p) || !participating(p)) continue;
     const NodeId q = sampler.sample(p, rng_);
@@ -379,152 +69,28 @@ void CycleSimulation::aggregation_cycle_with(Sampler& sampler,
         !participating(q)) {
       continue;
     }
-    // Component-scoped drop: a partitioned exchange dies like link
-    // failure. Checked before the comm draw, so an inactive partition
-    // perturbs neither the RNG stream nor any golden.
-    if (partitioned && config_.partition.component_of(p.value()) !=
-                           config_.partition.component_of(q.value())) {
-      continue;
-    }
-    const auto outcome = config_.comm.sample(rng_);
-    if (outcome == failure::ExchangeOutcome::kLinkDown ||
-        outcome == failure::ExchangeOutcome::kRequestLost) {
-      continue;
-    }
-    double* ep = &estimates_[static_cast<std::size_t>(p.value()) * t];
-    double* eq = &estimates_[static_cast<std::size_t>(q.value()) * t];
-    const core::UpdateKind kind = config_.update;
-    if (!general_) {  // the exact paper path, untouched
-      if (outcome == failure::ExchangeOutcome::kCompleted) {
-        for (std::uint32_t i = 0; i < t; ++i) {
-          const double u = core::apply_update(kind, ep[i], eq[i]);
-          ep[i] = u;
-          eq[i] = u;
-        }
-      } else {  // kResponseLost: the passive peer q updated, p never heard
-        for (std::uint32_t i = 0; i < t; ++i) {
-          eq[i] = core::apply_update(kind, ep[i], eq[i]);
-        }
-      }
-      continue;
-    }
-    // General path (instances == 1): both reports are captured before
-    // either side updates, then each side combines what it received —
-    // byzantine sides deviate, honest sides combine robustly or plainly.
-    const double rp = ep[0];
-    const double rq = eq[0];
-    if (outcome == failure::ExchangeOutcome::kCompleted) {
-      receive_report(p.value(), ep, rq);
-      receive_report(q.value(), eq, rp);
-    } else {  // kResponseLost
-      receive_report(q.value(), eq, rp);
-    }
+    // Checked before the comm draw, so an inactive partition perturbs
+    // neither the RNG stream nor any golden.
+    if (severed(partitioned, p.value(), q.value())) continue;
+    exchange(p.value(), q.value(), config_.comm.sample(rng_),
+             combine_scratch_);
   }
 }
 
 void CycleSimulation::record_stats() {
+  // One Welford stream per lane over the counted live nodes in live-list
+  // order — the stream the serial goldens are pinned against.
   const std::uint32_t t = config_.instances;
-  stats::RunningStats rs;
+  const bool track_values = !values_.empty();
+  std::vector<stats::RunningStats> lanes(t);
+  stats::RunningStats values;
   for (NodeId u : population_.live()) {
     if (!counted(u)) continue;
-    rs.add(estimates_[static_cast<std::size_t>(u.value()) * t]);
+    const double* e = &estimates_[static_cast<std::size_t>(u.value()) * t];
+    for (std::uint32_t i = 0; i < t; ++i) lanes[i].add(e[i]);
+    if (track_values) values.add(values_[u.value()]);
   }
-  cycle_stats_.push_back(rs);
-  if (!values_.empty()) {
-    // Tracking error against the *current* true mean of the underlying
-    // values, over the same counted-live population as the estimates.
-    stats::RunningStats vs;
-    for (NodeId u : population_.live()) {
-      if (!counted(u)) continue;
-      vs.add(values_[u.value()]);
-    }
-    true_mean_ = vs.mean();
-    tracking_error_.push_back(std::abs(rs.mean() - true_mean_));
-  }
-  // Every instance lane gets its own trajectory; lane 0 reuses the
-  // Welford stream above bit-for-bit (same values in the same order),
-  // so the pinned lane-0 goldens are untouched.
-  std::vector<stats::RunningStats> lanes(t);
-  lanes[0] = rs;
-  if (t > 1) {
-    for (NodeId u : population_.live()) {
-      if (!counted(u)) continue;
-      const double* e = &estimates_[static_cast<std::size_t>(u.value()) * t];
-      for (std::uint32_t i = 1; i < t; ++i) lanes[i].add(e[i]);
-    }
-  }
-  instance_stats_.push_back(std::move(lanes));
-}
-
-void CycleSimulation::run(const failure::FailurePlan& plan) {
-  GOSSIP_REQUIRE(initialized_, "initialize values before running");
-  GOSSIP_REQUIRE(!ran_, "run() may only be called once");
-  ran_ = true;
-  pin_injected_values();
-  if (config_.epoch_restarts) initial_ = estimates_;
-  if (config_.drift.enabled() || config_.service.enabled()) {
-    values_ = estimates_;  // v_u starts where the estimate starts
-  }
-  const bool pollute =
-      config_.adversary.enabled() &&
-      config_.adversary.behavior == AdversarySpec::Behavior::kCachePollute;
-  record_stats();  // σ²_0
-  for (std::uint32_t cycle = 0; cycle < config_.cycles; ++cycle) {
-    const auto event =
-        plan.before_cycle(cycle, population_.live_count());
-    apply_failures(event, cycle + 1);
-    if (event.restart) apply_restart();
-    if (config_.drift.enabled()) apply_drift(cycle);
-    if (newscast_) {
-      newscast_->run_cycle(population_, cycle + 1, rng_,
-                           pollute ? &byz_ : nullptr);
-    }
-    aggregation_cycle(cycle);
-    record_stats();
-    if (config_.service.enabled()) service_cycle(cycle);
-  }
-}
-
-std::vector<NodeId> CycleSimulation::participants() const {
-  std::vector<NodeId> out;
-  out.reserve(population_.live_count());
-  for (NodeId u : population_.live()) {
-    if (counted(u)) out.push_back(u);
-  }
-  return out;
-}
-
-double CycleSimulation::estimate(NodeId node, std::uint32_t instance) const {
-  GOSSIP_REQUIRE(node.is_valid() && node.value() < population_.total(),
-                 "estimate() node out of range");
-  GOSSIP_REQUIRE(instance < config_.instances,
-                 "estimate() instance out of range");
-  return estimates_[static_cast<std::size_t>(node.value()) *
-                        config_.instances +
-                    instance];
-}
-
-std::vector<double> CycleSimulation::scalar_estimates() const {
-  std::vector<double> out;
-  for (NodeId u : participants()) out.push_back(estimate(u, 0));
-  return out;
-}
-
-std::vector<double> CycleSimulation::size_estimates() const {
-  const std::uint32_t t = config_.instances;
-  std::vector<double> out;
-  std::vector<double> scratch;
-  for (NodeId u : participants()) {
-    out.push_back(robust_size_estimate(
-        &estimates_[static_cast<std::size_t>(u.value()) * t], t, scratch));
-  }
-  return out;
-}
-
-stats::ConvergenceTracker CycleSimulation::tracker() const {
-  stats::ConvergenceTracker t;
-  for (const auto& rs : cycle_stats_) t.record(rs.variance());
-  return t;
+  record_snapshot(std::move(lanes), values.mean());
 }
 
 }  // namespace gossip::experiment

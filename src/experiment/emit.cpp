@@ -57,10 +57,6 @@ Provenance make_provenance(const std::vector<ScenarioResult>& results,
   return p;
 }
 
-Provenance make_provenance(const ScenarioResult& result, bool full_scale) {
-  return make_provenance(std::vector<ScenarioResult>{result}, full_scale);
-}
-
 namespace {
 
 json::Value provenance_value(const Provenance& p) {
@@ -174,10 +170,6 @@ json::Value table_value(const Table& table) {
 }
 
 }  // namespace
-
-std::string provenance_json(const Provenance& p, int indent) {
-  return provenance_value(p).dump(indent);
-}
 
 std::string fmt_estimate(double value, int precision) {
   // fmt() itself emits the stable nan/inf/-inf tokens now; kept as the

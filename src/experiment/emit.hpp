@@ -37,17 +37,10 @@ struct Provenance {
   std::string spec_hash;  ///< hex FNV over the canonical spec JSON(s)
 };
 
-/// Provenance for one executed scenario sweep.
-Provenance make_provenance(const ScenarioResult& result, bool full_scale);
-
 /// Combined provenance for a multi-spec scenario (spec hashes fold
 /// together; scale fields come from the first spec).
 Provenance make_provenance(const std::vector<ScenarioResult>& results,
                            bool full_scale);
-
-/// The provenance block as a JSON object string (compact when
-/// `indent < 0`). Embedded in BENCH_cyclesim.json and `--format json`.
-std::string provenance_json(const Provenance& p, int indent = 2);
 
 /// Non-finite-safe cell formatting for estimate tables: finite values
 /// via fmt(value, precision), otherwise "inf"/"-inf"/"nan". (The

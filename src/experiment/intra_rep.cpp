@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "common/stream_salt.hpp"
-#include "core/update.hpp"
 #include "experiment/parallel_runner.hpp"
-#include "overlay/generators.hpp"
 #include "stats/reduction.hpp"
 
 namespace gossip::experiment {
@@ -31,264 +28,85 @@ inline void atomic_min(std::atomic<std::uint64_t>& cell, std::uint64_t v) {
 /// Node ids must leave two bits for the candidate index inside the
 /// packed 64-bit reservation priority.
 constexpr std::uint32_t kMaxNodes = 1u << 30;
-}  // namespace
 
-IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
-                                       std::uint64_t seed, unsigned shards)
-    : config_(config),
-      seed_(seed),
-      rng_(seed),
-      // Degenerate-geometry guard: more shards than nodes would only
-      // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be
-      // 4096 against N=8 in scaled-down CI runs). Shard count is
-      // semantically invisible — output is bit-identical for any value —
-      // so clamping to N never changes a result.
-      population_(config.nodes,
-                  std::max(1u, std::min(shards, config.nodes))) {
-  GOSSIP_REQUIRE(config.nodes >= 2, "simulation needs at least two nodes");
-  GOSSIP_REQUIRE(config.instances >= 1, "need at least one instance");
+/// The intra-rep engine's own limits, checked before the core builds
+/// the topology.
+SimConfig checked(const SimConfig& config) {
   GOSSIP_REQUIRE(config.match_rounds >= 1,
                  "need at least one match round per cycle");
   GOSSIP_REQUIRE(config.nodes < kMaxNodes,
                  "intra-rep match priorities pack node ids into 30 bits");
-  estimates_.assign(static_cast<std::size_t>(config.nodes) *
-                        config.instances,
-                    0.0);
-  participant_.assign(config.nodes, 1);
-  // Same adversary wiring as CycleSimulation: cache pollution stays off
-  // the aggregation path; byzantine reports / robust combine switch the
-  // pair application to the general path.
-  const bool agg_adversary =
-      config.adversary.enabled() &&
-      config.adversary.behavior != AdversarySpec::Behavior::kCachePollute;
-  general_ = agg_adversary || config.combine.robust();
-  exclude_byz_stats_ = agg_adversary;
-  GOSSIP_REQUIRE(!general_ || config.instances == 1,
-                 "adversary/robust combine need instances == 1");
-  GOSSIP_REQUIRE(!(config.drift.enabled() || config.service.enabled()) ||
-                     config.instances == 1,
-                 "drift/service need instances == 1");
-  GOSSIP_REQUIRE(!(config.service.enabled() && config.epoch_restarts),
-                 "service pipelining replaces epoch restarts");
-  if (config.service.enabled()) {
-    epoch_machine_.emplace(config.service.epoch_cycles);
-  }
-  byz_.assign(config.nodes, 0);
-  if (config.adversary.enabled()) {
-    for (std::uint32_t u = 0; u < config.nodes; ++u) {
-      byz_[u] = config.adversary.is_byzantine(u) ? 1 : 0;
-    }
-  }
-  build_topology();
+  return config;
 }
+}  // namespace
 
-void IntraRepSimulation::build_topology() {
-  const auto& topo = config_.topology;
-  switch (topo.kind) {
-    case TopologyKind::kComplete:
-      break;  // sampled straight off the live set
-    case TopologyKind::kRandomKOut:
-      graph_ = overlay::random_k_out(config_.nodes, topo.degree, rng_);
-      break;
-    case TopologyKind::kRingLattice:
-      graph_ = overlay::ring_lattice(config_.nodes, topo.degree);
-      break;
-    case TopologyKind::kWattsStrogatz:
-      graph_ = overlay::watts_strogatz(config_.nodes, topo.degree, topo.beta,
-                                       rng_);
-      break;
-    case TopologyKind::kBarabasiAlbert:
-      graph_ = overlay::barabasi_albert(config_.nodes, topo.degree / 2, rng_);
-      break;
-    case TopologyKind::kNewscast:
-      newscast_ =
-          std::make_unique<membership::NewscastNetwork>(topo.cache_size);
-      newscast_->bootstrap_random(config_.nodes, 0, rng_);
-      break;
-  }
-}
+IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
+                                       std::uint64_t seed, unsigned shards)
+    // Degenerate-geometry guard: more shards than nodes would only
+    // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be
+    // 4096 against N=8 in scaled-down CI runs). Shard count is
+    // semantically invisible — output is bit-identical for any value —
+    // so clamping to N never changes a result.
+    : SimulationCore(checked(config), Rng(seed),
+                     overlay::ShardedPopulation(
+                         config.nodes,
+                         std::max(1u, std::min(shards, config.nodes)))),
+      seed_(seed),
+      combine_scratch_(population_.shards()) {}
 
 void IntraRepSimulation::par_run(
-    ParallelRunner& pool, std::size_t count,
-    const std::function<void(std::size_t)>& job) {
+    std::size_t count, const std::function<void(std::size_t)>& job) {
   if (profile_ == nullptr) {
-    pool.run(count, job);
+    pool_->run(count, job);
     return;
   }
   const auto start = std::chrono::steady_clock::now();
-  pool.run(count, job);
+  pool_->run(count, job);
   profile_->parallel_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 }
 
-void IntraRepSimulation::init_scalar(
-    const std::function<double(NodeId)>& value_of) {
-  GOSSIP_REQUIRE(config_.instances == 1,
-                 "scalar initialization needs instances == 1");
-  GOSSIP_REQUIRE(!ran_, "cannot re-initialize a finished run");
-  for (std::uint32_t u = 0; u < config_.nodes; ++u) {
-    estimates_[u] = value_of(NodeId(u));
-  }
-  initialized_ = true;
+overlay::ParallelFor IntraRepSimulation::parallel_for() {
+  return [this](std::size_t count,
+                const std::function<void(std::size_t)>& job) {
+    par_run(count, job);
+  };
 }
 
-void IntraRepSimulation::init_peak(double peak, std::uint32_t peak_holder) {
-  GOSSIP_REQUIRE(peak_holder < config_.nodes, "peak holder out of range");
-  init_scalar([peak, peak_holder](NodeId id) {
-    return id.value() == peak_holder ? peak : 0.0;
-  });
+std::uint32_t IntraRepSimulation::kill_range(std::uint32_t lo,
+                                             std::uint32_t hi,
+                                             std::uint32_t max_kills) {
+  const overlay::ParallelFor par = parallel_for();
+  return population_.kill_range(lo, hi, max_kills, &par);
 }
 
-void IntraRepSimulation::init_count_leaders() {
-  GOSSIP_REQUIRE(!ran_, "cannot re-initialize a finished run");
-  GOSSIP_REQUIRE(config_.update == core::UpdateKind::kAverage,
-                 "COUNT is built on averaging (§5)");
-  GOSSIP_REQUIRE(config_.instances <= config_.nodes,
-                 "more instances than nodes");
-  leaders_ = elect_count_leaders(rng_, config_.nodes, config_.instances,
-                                 estimates_);
-  initialized_ = true;
+void IntraRepSimulation::kill_uniform(std::uint32_t kills) {
+  // One distinct-position draw replaces the serial driver's
+  // draw-kill-draw interleaving, so the whole batch can retire through
+  // the stable parallel compaction in one step.
+  victims_.clear();
+  for (std::uint64_t pos :
+       rng_.sample_distinct(population_.live_count(), kills)) {
+    victims_.push_back(population_.live()[pos]);
+  }
+  const overlay::ParallelFor par = parallel_for();
+  population_.kill_many(victims_, &par);
 }
 
-void IntraRepSimulation::apply_failures(const failure::CycleEvent& event,
-                                        std::uint64_t now,
-                                        ParallelRunner& pool) {
-  // Same survivor clamp as CycleSimulation::apply_failures: targeted
-  // range kills spend the keep-one-alive budget first, then the uniform
-  // kills take what remains.
-  const overlay::ParallelFor par =
-      [this, &pool](std::size_t count,
-                    const std::function<void(std::size_t)>& job) {
-        par_run(pool, count, job);
-      };
-  const std::uint32_t live0 = population_.live_count();
-  std::uint32_t budget = live0 > 0 ? live0 - 1 : 0;
-  if (event.kill_hi > event.kill_lo) {
-    budget -= population_.kill_range(event.kill_lo, event.kill_hi, budget,
-                                     &par);
-  }
-  const std::uint32_t kills = std::min(event.kills, budget);
-  if (kills > 0) {
-    // One distinct-position draw replaces the serial driver's
-    // draw-kill-draw interleaving, so the whole batch can retire through
-    // the stable parallel compaction in one step.
-    victims_.clear();
-    for (std::uint64_t pos :
-         rng_.sample_distinct(population_.live_count(), kills)) {
-      victims_.push_back(population_.live()[pos]);
-    }
-    population_.kill_many(victims_, &par);
-  }
-  if (event.joins == 0) return;
-  GOSSIP_REQUIRE(config_.topology.kind == TopologyKind::kNewscast ||
-                     config_.topology.kind == TopologyKind::kComplete,
-                 "joins need a dynamic overlay (newscast or complete)");
-  estimates_.reserve(estimates_.size() +
-                     static_cast<std::size_t>(event.joins) *
-                         config_.instances);
-  participant_.reserve(participant_.size() + event.joins);
-  if (newscast_) newscast_->reserve_joins(event.joins);
-  for (std::uint32_t j = 0; j < event.joins; ++j) {
-    const NodeId contact = population_.sample_live(rng_);
-    const NodeId fresh = population_.add();
-    estimates_.insert(estimates_.end(), config_.instances, 0.0);
-    participant_.push_back(0);  // §4.2: joiners sit out the epoch
-    if (!values_.empty()) values_.push_back(0.0);
-    byz_.push_back(config_.adversary.is_byzantine(fresh.value()) ? 1 : 0);
-    if (newscast_) newscast_->add_node(fresh, contact, now);
-  }
-}
-
-void IntraRepSimulation::pin_injected_values() {
-  if (config_.adversary.behavior != AdversarySpec::Behavior::kValueInject) {
-    return;
-  }
-  for (std::uint32_t u = 0; u < population_.total(); ++u) {
-    if (byz_[u]) estimates_[u] = config_.adversary.value;
-  }
-}
-
-void IntraRepSimulation::apply_restart() {
-  // Mirrors CycleSimulation::apply_restart(): every node re-seeds from
-  // its local value — the current one when drift maintains values_, the
-  // run-start snapshot otherwise (joiners from their join default of 0) —
-  // and every live node participates in the new epoch. Serial O(total) —
-  // restarts are rare cycle-boundary events.
-  GOSSIP_REQUIRE(!initial_.empty() || !values_.empty(),
-                 "restart without a seed snapshot would zero every "
-                 "estimate — the plan emitted a restart the driver never "
-                 "prepared for");
-  if (!values_.empty()) {
-    std::copy(values_.begin(), values_.end(), estimates_.begin());
-  } else {
-    std::copy(initial_.begin(), initial_.end(), estimates_.begin());
-    std::fill(
-        estimates_.begin() + static_cast<std::ptrdiff_t>(initial_.size()),
-        estimates_.end(), 0.0);
-  }
-  for (NodeId u : population_.live()) participant_[u.value()] = 1;
-  pin_injected_values();
-  flush_combine_windows();
-}
-
-void IntraRepSimulation::flush_combine_windows() {
-  // Same boundary rule as CycleSimulation::flush_combine_windows():
-  // robust-combine reports received before a restart or pipelined epoch
-  // roll summarize dead-epoch estimates; drop contents and counters so
-  // no stale report biases the first post-boundary estimates.
-  if (wfill_.empty()) return;
-  std::fill(window_.begin(), window_.end(), 0.0);
-  std::fill(wfill_.begin(), wfill_.end(), 0);
-  std::fill(wpos_.begin(), wpos_.end(), 0);
-}
-
-void IntraRepSimulation::apply_drift(std::uint32_t cycle,
-                                     ParallelRunner& pool) {
-  // Mass-preserving dynamic values, parallel over id-space shards. Each
-  // node's delta comes from the shared drift_delta() — a pure function of
-  // (stream_seed, cycle, node), so the result is bit-identical to the
-  // serial driver's and to any shard × thread geometry.
-  const unsigned shards = population_.shards();
-  par_run(pool, shards, [&](std::size_t s) {
+void IntraRepSimulation::apply_drift(std::uint32_t cycle) {
+  par_run(population_.shards(), [&](std::size_t s) {
     const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
-    for (std::uint32_t u = lo; u < hi; ++u) {
-      const NodeId p(u);
-      if (!population_.alive_unchecked(p) || byz_[u]) continue;
-      const double d =
-          drift_delta(config_.drift, config_.stream_seed, cycle, u);
-      if (d == 0.0) continue;
-      values_[u] += d;
-      if (participant_[u]) estimates_[u] += d;
-    }
+    drift_range(cycle, lo, hi);
   });
-}
-
-void IntraRepSimulation::service_cycle(std::uint32_t cycle) {
-  // Mirrors CycleSimulation::service_cycle(): publish the ending epoch's
-  // converged mean at the boundary, re-seed the next epoch from the
-  // current local values, keep serving queries from the store. Serial
-  // O(total) only at epoch boundaries.
-  const std::uint64_t ending = epoch_machine_->epoch();
-  if (epoch_machine_->advance_cycle()) {
-    store_.publish(0, cycle_stats_.back().mean(), ending, cycle + 1);
-    std::copy(values_.begin(), values_.end(), estimates_.begin());
-    for (NodeId u : population_.live()) participant_[u.value()] = 1;
-    pin_injected_values();
-    flush_combine_windows();
-  }
-  if (const auto ans = store_.query(0, cycle + 1)) {
-    staleness_.push_back(ans->age_cycles);
-    served_error_.push_back(std::abs(ans->value - true_mean_));
-  }
 }
 
 template <typename SampleFn>
 void IntraRepSimulation::propose(std::uint32_t cycle, std::uint64_t salt,
                                  bool draw_outcome, bool participants_only,
-                                 ParallelRunner& pool, SampleFn&& sample) {
+                                 SampleFn&& sample) {
   const unsigned shards = population_.shards();
-  par_run(pool, shards, [&](std::size_t s) {
+  par_run(shards, [&](std::size_t s) {
     const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
     for (std::uint32_t u = lo; u < hi; ++u) {
       const NodeId p(u);
@@ -318,8 +136,7 @@ void IntraRepSimulation::propose(std::uint32_t cycle, std::uint64_t salt,
   });
 }
 
-void IntraRepSimulation::match(bool participants_only,
-                               ParallelRunner& pool) {
+void IntraRepSimulation::match(bool participants_only) {
   // Deterministic parallel matching via reservations: the committed pair
   // set equals what a serial greedy scan over nodes ordered by
   // (key, id) — taking each node's first candidate that is unmatched at
@@ -358,7 +175,7 @@ void IntraRepSimulation::match(bool participants_only,
   // Init pass: per-node match state, candidate-list truncation (the
   // break conditions — invalid/self/dead/refusing — depend only on
   // state frozen for the whole match), and the per-shard active lists.
-  par_run(pool, shards, [&](std::size_t s) {
+  par_run(shards, [&](std::size_t s) {
     const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
     auto& active = active_[s];
     active.clear();
@@ -401,7 +218,7 @@ void IntraRepSimulation::match(bool participants_only,
 
   while (remaining > 0) {
     // Pass A: advance cursors, compact the active lists, reserve.
-    par_run(pool, shards, [&](std::size_t s) {
+    par_run(shards, [&](std::size_t s) {
       auto& active = active_[s];
       auto& touched = touched_[s];
       std::size_t w = 0;
@@ -427,7 +244,7 @@ void IntraRepSimulation::match(bool participants_only,
     });
 
     // Pass B: commit edges that hold both reservations.
-    par_run(pool, shards, [&](std::size_t s) {
+    par_run(shards, [&](std::size_t s) {
       auto& active = active_[s];
       std::size_t w = 0;
       for (const std::uint32_t u : active) {
@@ -451,7 +268,7 @@ void IntraRepSimulation::match(bool participants_only,
     });
 
     // Pass C: clear every reservation this round touched.
-    par_run(pool, shards, [&](std::size_t s) {
+    par_run(shards, [&](std::size_t s) {
       for (const std::uint32_t idx : touched_[s]) {
         reserve_[idx].store(kFreeCell, std::memory_order_relaxed);
       }
@@ -462,17 +279,17 @@ void IntraRepSimulation::match(bool participants_only,
     for (const auto& active : active_) remaining += active.size();
   }
 
-  collect_pairs(pool);
+  collect_pairs();
 }
 
-void IntraRepSimulation::collect_pairs(ParallelRunner& pool) {
+void IntraRepSimulation::collect_pairs() {
   // Gather the committed pairs in global initiator-id order: per-shard
   // counts, an O(shards) exclusive prefix, then a parallel scatter — the
   // resulting pairs_ content (and order) is a pure function of the
   // matching, not of the decomposition.
   const unsigned shards = population_.shards();
   pair_offsets_.assign(shards + 1, 0);
-  par_run(pool, shards, [&](std::size_t s) {
+  par_run(shards, [&](std::size_t s) {
     const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
     std::size_t count = 0;
     for (std::uint32_t u = lo; u < hi; ++u) count += initiator_[u];
@@ -482,7 +299,7 @@ void IntraRepSimulation::collect_pairs(ParallelRunner& pool) {
     pair_offsets_[s + 1] += pair_offsets_[s];
   }
   pairs_.resize(pair_offsets_[shards]);
-  par_run(pool, shards, [&](std::size_t s) {
+  par_run(shards, [&](std::size_t s) {
     const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
     std::size_t w = pair_offsets_[s];
     for (std::uint32_t u = lo; u < hi; ++u) {
@@ -493,8 +310,7 @@ void IntraRepSimulation::collect_pairs(ParallelRunner& pool) {
 
 void IntraRepSimulation::newscast_round(std::uint32_t cycle,
                                         std::uint32_t round,
-                                        std::uint64_t now,
-                                        ParallelRunner& pool) {
+                                        std::uint64_t now) {
   // One matched membership sub-round (all rounds of a cycle share the
   // same logical time, so descriptor aging stays per-cycle). A single
   // matching gives every node at most one cache merge per cycle — far
@@ -509,27 +325,24 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   // the stream-salt registry static_asserts that distinctness.
   const std::uint64_t salt = salt::newscast_round_salt(round);
   propose(cycle, salt, /*draw_outcome=*/false,
-          /*participants_only=*/false, pool,
-          [this](NodeId p, Rng& rng) {
+          /*participants_only=*/false, [this](NodeId p, Rng& rng) {
             return newscast_->sample_view(p, rng);
           });
-  match(/*participants_only=*/false, pool);
+  match(/*participants_only=*/false);
   // Pairs are disjoint, so chunked application with per-chunk merge
   // buffers writes disjoint cache slots — race-free without locks, and
   // chunk boundaries cannot influence any merge result. Because of that
   // invariance the chunk count follows the *worker* count, not the shard
   // count: each MergeBuffers carries two O(total-ids) mark arrays, and
   // sizing them by GOSSIP_SHARDS (up to 4096) would be pure memory waste
-  // when only pool.threads() jobs ever run at once.
+  // when only pool_->threads() jobs ever run at once.
   const std::size_t chunks =
       std::min<std::size_t>(population_.shards(),
-                            std::max(1u, pool.threads()));
+                            std::max(1u, pool_->threads()));
   if (merge_buffers_.size() < chunks) merge_buffers_.resize(chunks);
   const std::size_t count = pairs_.size();
-  const bool pollute =
-      config_.adversary.enabled() &&
-      config_.adversary.behavior == AdversarySpec::Behavior::kCachePollute;
-  par_run(pool, chunks, [&](std::size_t s) {
+  const bool pollute = pollutes_caches();
+  par_run(chunks, [&](std::size_t s) {
     auto& buffers = merge_buffers_[s];
     const std::size_t lo = count * s / chunks;
     const std::size_t hi = count * (s + 1) / chunks;
@@ -557,25 +370,12 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   });
 }
 
-void IntraRepSimulation::apply_pairs(std::uint32_t cycle,
-                                     ParallelRunner& pool) {
+void IntraRepSimulation::apply_pairs(std::uint32_t cycle) {
   const unsigned shards = population_.shards();
   const std::size_t count = pairs_.size();
-  const core::UpdateKind kind = config_.update;
   const std::uint32_t t = config_.instances;
   const bool partitioned = config_.partition.active(cycle);
-  if (general_ && config_.combine.robust()) {
-    const std::uint32_t total = population_.total();
-    window_.resize(static_cast<std::size_t>(total) * config_.combine.window,
-                   0.0);
-    wfill_.resize(total, 0);
-    wpos_.resize(total, 0);
-  }
-  if (general_) {
-    combine_scratch_.resize(shards);
-    combine_means_.resize(shards);
-  }
-  par_run(pool, shards, [&](std::size_t s) {
+  par_run(shards, [&](std::size_t s) {
     const std::size_t lo = count * s / shards;
     const std::size_t hi = count * (s + 1) / shards;
     // One-pair-ahead prefetch of both estimate rows (and the outcome
@@ -594,73 +394,19 @@ void IntraRepSimulation::apply_pairs(std::uint32_t cycle,
     for (std::size_t k = lo; k < hi; ++k) {
       if (k + 1 < hi) prefetch_pair(k + 1);
       const auto [p, q] = pairs_[k];
-      // Component-scoped drop: a matched pair straddling the partition
-      // dies like link failure (outcomes are pre-drawn, so this pure
-      // filter perturbs no random stream).
-      if (partitioned && config_.partition.component_of(p.value()) !=
-                             config_.partition.component_of(q.value())) {
-        continue;
-      }
-      double* ep = &estimates_[static_cast<std::size_t>(p.value()) * t];
-      double* eq = &estimates_[static_cast<std::size_t>(q.value()) * t];
-      const auto outcome =
-          static_cast<failure::ExchangeOutcome>(outcome_[p.value()]);
-      if (outcome == failure::ExchangeOutcome::kLinkDown ||
-          outcome == failure::ExchangeOutcome::kRequestLost) {
-        continue;  // the pair's exchange silently never happened
-      }
-      if (!general_) {  // the exact paper path, untouched
-        if (outcome == failure::ExchangeOutcome::kCompleted) {
-          for (std::uint32_t i = 0; i < t; ++i) {
-            const double u = core::apply_update(kind, ep[i], eq[i]);
-            ep[i] = u;
-            eq[i] = u;
-          }
-        } else {  // kResponseLost: passive peer updated, initiator not
-          for (std::uint32_t i = 0; i < t; ++i) {
-            eq[i] = core::apply_update(kind, ep[i], eq[i]);
-          }
-        }
-        continue;
-      }
-      // General path (instances == 1): capture both reports, then each
-      // side combines what it received. Pairs are disjoint, so the
-      // window/estimate writes are race-free; the per-node result depends
-      // only on the pair itself — shard/thread-invariant.
-      const double rp = ep[0];
-      const double rq = eq[0];
-      const auto receive = [&](std::uint32_t u, double* slot,
-                               double report) {
-        if (byz_[u]) {
-          if (config_.adversary.behavior ==
-              AdversarySpec::Behavior::kAlwaysMax) {
-            slot[0] = core::apply_update(core::UpdateKind::kMax, slot[0],
-                                         report);
-          }
-          return;  // value_inject keeps its pinned outlier
-        }
-        if (!config_.combine.robust()) {
-          slot[0] = core::apply_update(kind, slot[0], report);
-          return;
-        }
-        slot[0] = robust_combine_receive(config_.combine, u, slot[0],
-                                         report, window_, wfill_.data(),
-                                         wpos_.data(), combine_scratch_[s],
-                                         combine_means_[s]);
-      };
-      if (outcome == failure::ExchangeOutcome::kCompleted) {
-        receive(p.value(), ep, rq);
-        receive(q.value(), eq, rp);
-      } else {  // kResponseLost
-        receive(q.value(), eq, rp);
-      }
+      // Outcomes are pre-drawn, so the partition filter perturbs no
+      // random stream. Pairs are disjoint, so every write is race-free
+      // and the result depends only on the pair — shard/thread-invariant.
+      if (severed(partitioned, p.value(), q.value())) continue;
+      exchange(p.value(), q.value(),
+               static_cast<failure::ExchangeOutcome>(outcome_[p.value()]),
+               combine_scratch_[s]);
     }
   });
 }
 
 void IntraRepSimulation::aggregation_round(std::uint32_t cycle,
-                                           std::uint32_t round,
-                                           ParallelRunner& pool) {
+                                           std::uint32_t round) {
   // One independent propose/match/apply round: fresh proposals
   // (round-salted streams) resolve into a disjoint matching, applied
   // before the next round samples — so round r+1 mixes the values round
@@ -669,30 +415,56 @@ void IntraRepSimulation::aggregation_round(std::uint32_t cycle,
   switch (config_.topology.kind) {
     case TopologyKind::kComplete:
       propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, pool, [this](NodeId p, Rng& rng) {
+              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
                 return population_.sample_live_other(p, rng);
               });
       break;
     case TopologyKind::kNewscast:
       propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, pool, [this](NodeId p, Rng& rng) {
+              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
                 return newscast_->sample_view(p, rng);
               });
       break;
     default:
       propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, pool, [this](NodeId p, Rng& rng) {
+              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
                 const auto ns = graph_.neighbors(p);
                 if (ns.empty()) return NodeId::invalid();
                 return ns[rng.below(ns.size())];
               });
       break;
   }
-  match(/*participants_only=*/true, pool);
-  apply_pairs(cycle, pool);
+  match(/*participants_only=*/true);
+  apply_pairs(cycle);
 }
 
-void IntraRepSimulation::record_stats(ParallelRunner& pool) {
+void IntraRepSimulation::exchange_cycle(std::uint32_t cycle) {
+  const std::uint32_t total = population_.total();
+  GOSSIP_REQUIRE(total < kMaxNodes,
+                 "intra-rep match priorities pack node ids into 30 bits");
+  proposals_.resize(static_cast<std::size_t>(total) * kCandidates,
+                    NodeId::invalid());
+  outcome_.resize(total, 0);
+  key_.resize(total, 0);
+  matched_.resize(total, 0);
+  partner_.resize(total, NodeId::invalid());
+  initiator_.resize(total, 0);
+  ncand_.resize(total, 0);
+  cursor_.resize(total, 0);
+  // Matched sub-rounds: `match_rounds` membership rounds (NEWSCAST
+  // needs the extra view mixing — a single matching merges each cache
+  // at most once per cycle, and under-mixed views leave aggregation
+  // partners correlated across rounds), then `match_rounds`
+  // aggregation rounds, each applied before the next draws.
+  for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
+    if (newscast_) newscast_round(cycle, round, cycle + 1);
+  }
+  for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
+    aggregation_round(cycle, round);
+  }
+}
+
+void IntraRepSimulation::record_stats() {
   // Parallel per-segment pass over the *fixed* kStatsSegments id-space
   // decomposition (never the shard count — Chan merges are not
   // associative in floating point, so the partial shapes must be
@@ -711,7 +483,7 @@ void IntraRepSimulation::record_stats(ParallelRunner& pool) {
   if (track_values && val_seg_stats_.size() != kStatsSegments) {
     val_seg_stats_.resize(kStatsSegments);
   }
-  par_run(pool, kStatsSegments, [&](std::size_t s) {
+  par_run(kStatsSegments, [&](std::size_t s) {
     const std::uint32_t lo = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(total) * s / kStatsSegments);
     const std::uint32_t hi = static_cast<std::uint32_t>(
@@ -745,102 +517,23 @@ void IntraRepSimulation::record_stats(ParallelRunner& pool) {
     }
     lanes[i] = stats::merge_tree(lane_scratch_);
   }
-  cycle_stats_.push_back(lanes[0]);
-  if (track_values) {
-    true_mean_ = stats::merge_tree(val_seg_stats_).mean();
-    tracking_error_.push_back(std::abs(lanes[0].mean() - true_mean_));
-  }
-  instance_stats_.push_back(std::move(lanes));
+  record_snapshot(std::move(lanes),
+                  track_values ? stats::merge_tree(val_seg_stats_).mean()
+                               : 0.0);
 }
 
 void IntraRepSimulation::run(const failure::FailurePlan& plan,
                              ParallelRunner& pool) {
-  GOSSIP_REQUIRE(initialized_, "initialize values before running");
-  GOSSIP_REQUIRE(!ran_, "run() may only be called once");
-  ran_ = true;
   const auto run_start = std::chrono::steady_clock::now();
-  pin_injected_values();
-  if (config_.epoch_restarts) initial_ = estimates_;
-  if (config_.drift.enabled() || config_.service.enabled()) {
-    values_ = estimates_;  // v_u starts where the estimate starts
-  }
-  record_stats(pool);  // σ²_0
-  for (std::uint32_t cycle = 0; cycle < config_.cycles; ++cycle) {
-    const auto event =
-        plan.before_cycle(cycle, population_.live_count());
-    apply_failures(event, cycle + 1, pool);
-    if (event.restart) apply_restart();
-    if (config_.drift.enabled()) apply_drift(cycle, pool);
-    const std::uint32_t total = population_.total();
-    GOSSIP_REQUIRE(total < kMaxNodes,
-                   "intra-rep match priorities pack node ids into 30 bits");
-    proposals_.resize(static_cast<std::size_t>(total) * kCandidates,
-                      NodeId::invalid());
-    outcome_.resize(total, 0);
-    key_.resize(total, 0);
-    matched_.resize(total, 0);
-    partner_.resize(total, NodeId::invalid());
-    initiator_.resize(total, 0);
-    ncand_.resize(total, 0);
-    cursor_.resize(total, 0);
-    // Matched sub-rounds: `match_rounds` membership rounds (NEWSCAST
-    // needs the extra view mixing — a single matching merges each cache
-    // at most once per cycle, and under-mixed views leave aggregation
-    // partners correlated across rounds), then `match_rounds`
-    // aggregation rounds, each applied before the next draws.
-    for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
-      if (newscast_) newscast_round(cycle, round, cycle + 1, pool);
-    }
-    for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
-      aggregation_round(cycle, round, pool);
-    }
-    record_stats(pool);
-    if (config_.service.enabled()) service_cycle(cycle);
-  }
+  pool_ = &pool;
+  run_cycles(plan);
+  pool_ = nullptr;
   if (profile_ != nullptr) {
     profile_->total_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       run_start)
             .count();
   }
-}
-
-double IntraRepSimulation::estimate(NodeId node,
-                                    std::uint32_t instance) const {
-  GOSSIP_REQUIRE(node.is_valid() && node.value() < population_.total(),
-                 "estimate() node out of range");
-  GOSSIP_REQUIRE(instance < config_.instances,
-                 "estimate() instance out of range");
-  return estimates_[static_cast<std::size_t>(node.value()) *
-                        config_.instances +
-                    instance];
-}
-
-std::vector<double> IntraRepSimulation::scalar_estimates() const {
-  std::vector<double> out;
-  out.reserve(population_.live_count());
-  for (NodeId u : population_.live()) {
-    if (counted(u)) out.push_back(estimate(u, 0));
-  }
-  return out;
-}
-
-std::vector<double> IntraRepSimulation::size_estimates() const {
-  const std::uint32_t t = config_.instances;
-  std::vector<double> out;
-  std::vector<double> scratch;
-  for (NodeId u : population_.live()) {
-    if (!participating(u)) continue;
-    out.push_back(robust_size_estimate(
-        &estimates_[static_cast<std::size_t>(u.value()) * t], t, scratch));
-  }
-  return out;
-}
-
-stats::ConvergenceTracker IntraRepSimulation::tracker() const {
-  stats::ConvergenceTracker t;
-  for (const auto& rs : cycle_stats_) t.record(rs.variance());
-  return t;
 }
 
 }  // namespace gossip::experiment

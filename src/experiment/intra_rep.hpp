@@ -63,17 +63,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "common/stream_salt.hpp"
-#include "experiment/cycle_sim.hpp"
+#include "experiment/sim_core.hpp"
 #include "failure/failure_plan.hpp"
 #include "membership/newscast.hpp"
 #include "overlay/sharded_population.hpp"
-#include "stats/convergence.hpp"
 #include "stats/running_stats.hpp"
 
 namespace gossip::experiment {
@@ -83,7 +82,8 @@ class ParallelRunner;  // experiment/parallel_runner.hpp
 /// Wall-clock decomposition of one intra-rep run: total time inside
 /// run() vs time spent inside ParallelRunner batches. The difference is
 /// the serial residue (phase glue, prefix sums, reduction-tree folds) —
-/// the Amdahl term perf_report tracks as `serial_phase_fraction`.
+/// the Amdahl term the benchmark reports as
+/// experiment.intra_rep.serial_fraction.
 struct IntraRepPhaseProfile {
   double total_seconds = 0.0;
   double parallel_seconds = 0.0;
@@ -97,9 +97,10 @@ struct IntraRepPhaseProfile {
 
 /// One domain-decomposed repetition. Construct, initialize values, run
 /// against a ParallelRunner, then read estimates/statistics — the same
-/// lifecycle and workload vocabulary as CycleSimulation: scalar AVERAGE,
-/// COUNT, and `instances`-wide multi-aggregate state.
-class IntraRepSimulation {
+/// lifecycle, workload vocabulary and result surface as CycleSimulation
+/// (both are a SimulationCore).
+class IntraRepSimulation final
+    : public SimulationCore<overlay::ShardedPopulation> {
 public:
   /// `shards` is the domain-decomposition width (GOSSIP_SHARDS); the
   /// runner passed to run() supplies the worker threads. Degenerate
@@ -107,131 +108,43 @@ public:
   IntraRepSimulation(const SimConfig& config, std::uint64_t seed,
                      unsigned shards);
 
-  /// Scalar initialization (requires instances == 1).
-  void init_scalar(const std::function<double(NodeId)>& value_of);
-  void init_peak(double peak, std::uint32_t peak_holder = 0);
-
-  /// The COUNT workload (§5): `instances` leaders drawn uniformly without
-  /// replacement; leader i's slot i starts at 1, everything else 0. Same
-  /// draw sequence as CycleSimulation::init_count_leaders.
-  void init_count_leaders();
-
   /// Runs config.cycles matched cycles under `plan`, parallelizing each
   /// phase across `pool`. Call once.
   void run(const failure::FailurePlan& plan, ParallelRunner& pool);
 
   /// Optional wall-clock instrumentation: when set before run(), the
-  /// profile accumulates total vs in-parallel-batch seconds (perf_report
-  /// derives the serial-phase fraction from it). Must outlive run().
+  /// profile accumulates total vs in-parallel-batch seconds (the
+  /// benchmark derives the serial-phase fraction from it). Must outlive
+  /// run().
   void set_phase_profile(IntraRepPhaseProfile* profile) {
     profile_ = profile;
   }
 
-  // ---- results ---------------------------------------------------------
-
-  [[nodiscard]] const overlay::ShardedPopulation& population() const {
-    return population_;
-  }
   [[nodiscard]] unsigned shards() const { return population_.shards(); }
 
-  [[nodiscard]] double estimate(NodeId node,
-                                std::uint32_t instance = 0) const;
-
-  /// Instance-0 estimates of all participating live nodes, live-list
-  /// order.
-  [[nodiscard]] std::vector<double> scalar_estimates() const;
-
-  /// COUNT outputs: per participating node, 1/e per instance combined
-  /// with the §7.3 trimmed mean (mirrors CycleSimulation::size_estimates;
-  /// a non-positive instance estimate contributes +inf).
-  [[nodiscard]] std::vector<double> size_estimates() const;
-
-  [[nodiscard]] const std::vector<stats::RunningStats>& cycle_stats() const {
-    return cycle_stats_;
-  }
-
-  /// Per-cycle statistics of *every* instance lane:
-  /// instance_cycle_stats()[c][i] summarizes lane i at snapshot c
-  /// (lane 0 is cycle_stats()[c]). Multi-instance runs (figs. 6/8)
-  /// record the variance trajectory of each concurrent aggregate, not
-  /// just slot 0 — mirrored by CycleSimulation::instance_cycle_stats().
-  [[nodiscard]] const std::vector<std::vector<stats::RunningStats>>&
-  instance_cycle_stats() const {
-    return instance_stats_;
-  }
-
-  [[nodiscard]] stats::ConvergenceTracker tracker() const;
-
-  /// The leaders chosen by init_count_leaders().
-  [[nodiscard]] const std::vector<NodeId>& leaders() const {
-    return leaders_;
-  }
-
-  // ---- continuous-service results (empty when drift/service are off) ---
-  // Mirrors CycleSimulation's service surface so the parity tests can
-  // compare the two engines field by field.
-
-  /// The underlying local values (maintained when drift or the service
-  /// pipeline is on; empty otherwise). values()[u] is node u's v_u.
-  [[nodiscard]] const std::vector<double>& local_values() const {
-    return values_;
-  }
-
-  /// |estimate mean − current true mean| at each stats snapshot, aligned
-  /// with cycle_stats().
-  [[nodiscard]] const std::vector<double>& tracking_error() const {
-    return tracking_error_;
-  }
-
-  /// Age (in cycles) of the snapshot a query would be served, sampled
-  /// once per cycle from the first publication on.
-  [[nodiscard]] const std::vector<std::uint32_t>& staleness_samples() const {
-    return staleness_;
-  }
-
-  /// |served snapshot value − current true mean| aligned with
-  /// staleness_samples().
-  [[nodiscard]] const std::vector<double>& served_error() const {
-    return served_error_;
-  }
-
-  /// The published-report store backing the query API.
-  [[nodiscard]] const SnapshotStore& snapshots() const { return store_; }
-
 private:
-  void build_topology();
-  void apply_failures(const failure::CycleEvent& event, std::uint64_t now,
-                      ParallelRunner& pool);
-  void apply_restart();
-  void apply_drift(std::uint32_t cycle, ParallelRunner& pool);
-  void service_cycle(std::uint32_t cycle);
-  void flush_combine_windows();
-  void pin_injected_values();
+  std::uint32_t kill_range(std::uint32_t lo, std::uint32_t hi,
+                           std::uint32_t max_kills) override;
+  void kill_uniform(std::uint32_t kills) override;
+  void apply_drift(std::uint32_t cycle) override;
+  void exchange_cycle(std::uint32_t cycle) override;
+  void record_stats() override;
+
   void newscast_round(std::uint32_t cycle, std::uint32_t round,
-                      std::uint64_t now, ParallelRunner& pool);
-  void aggregation_round(std::uint32_t cycle, std::uint32_t round,
-                         ParallelRunner& pool);
-  void apply_pairs(std::uint32_t cycle, ParallelRunner& pool);
+                      std::uint64_t now);
+  void aggregation_round(std::uint32_t cycle, std::uint32_t round);
+  void apply_pairs(std::uint32_t cycle);
   template <typename SampleFn>
   void propose(std::uint32_t cycle, std::uint64_t salt, bool draw_outcome,
-               bool participants_only, ParallelRunner& pool,
-               SampleFn&& sample);
-  void match(bool participants_only, ParallelRunner& pool);
-  void collect_pairs(ParallelRunner& pool);
-  void record_stats(ParallelRunner& pool);
+               bool participants_only, SampleFn&& sample);
+  void match(bool participants_only);
+  void collect_pairs();
 
-  /// pool.run with optional phase-profile accounting.
-  void par_run(ParallelRunner& pool, std::size_t count,
+  /// pool_->run with optional phase-profile accounting.
+  void par_run(std::size_t count,
                const std::function<void(std::size_t)>& job);
-
-  [[nodiscard]] bool participating(NodeId id) const {
-    return participant_[id.value()] != 0;
-  }
-  /// Mirrors CycleSimulation::counted(): byzantine nodes that corrupt
-  /// the aggregate are excluded from estimate statistics.
-  [[nodiscard]] bool counted(NodeId id) const {
-    return participating(id) && !(exclude_byz_stats_ && byz_[id.value()]);
-  }
+  /// par_run as the population's executor seam.
+  [[nodiscard]] overlay::ParallelFor parallel_for();
 
   /// The derived generator for one node's draws in one phase (round) of
   /// one cycle. Keyed by node identity — never by shard — so
@@ -260,12 +173,7 @@ private:
   /// thread count — so the float result is shard/thread-invariant.
   static constexpr std::uint32_t kStatsSegments = 64;
 
-  SimConfig config_;
   std::uint64_t seed_;
-  Rng rng_;  // serial boundary randomness: topology build, failures
-  overlay::ShardedPopulation population_;
-  std::vector<double> estimates_;      // flat [node * instances + i]
-  std::vector<char> participant_;      // per node
   /// Proposal candidates per node per round; candidates past the first
   /// are claimed-peer fallbacks for the match resolution.
   static constexpr unsigned kCandidates = 4;
@@ -284,44 +192,16 @@ private:
   std::vector<std::size_t> pair_offsets_;  // per-shard pair prefix sums
   std::vector<std::pair<NodeId, NodeId>> pairs_;
   std::vector<NodeId> victims_;        // kill batch staging
-  std::vector<NodeId> leaders_;        // init_count_leaders picks
-
-  // ---- adversarial extensions (all empty/off on the plain path) --------
-  std::vector<char> byz_;           // adversary membership per node
-  bool general_ = false;            // any aggregation-level deviation?
-  bool exclude_byz_stats_ = false;  // drop byzantine estimates from stats
-  std::vector<double> window_;       // robust combine: flat [node * W + k]
-  std::vector<std::uint8_t> wfill_;  // filled window entries per node
-  std::vector<std::uint8_t> wpos_;   // next ring slot per node
-  /// Per-apply-chunk staging for robust_combine_receive (pairs are
-  /// disjoint, so window/estimate writes are race-free; only the scratch
-  /// needs to be per-job).
-  std::vector<std::vector<double>> combine_scratch_;
-  std::vector<std::vector<double>> combine_means_;
-  std::vector<double> initial_;     // epoch-restart snapshot
-  std::vector<stats::RunningStats> cycle_stats_;       // lane 0
-  std::vector<std::vector<stats::RunningStats>> instance_stats_;
+  /// Per-apply-job robust-combine staging (pairs are disjoint, so
+  /// window/estimate writes are race-free; only the scratch is per job).
+  std::vector<CombineScratch> combine_scratch_;
   std::vector<stats::RunningStats> seg_stats_;   // [segment * t + lane]
   std::vector<stats::RunningStats> lane_scratch_;  // merge_tree input
-
-  // ---- continuous-service extensions (empty/off on the plain path) -----
-  std::vector<double> values_;        // underlying local values v_u
-  std::vector<double> tracking_error_;     // per snapshot
-  std::vector<std::uint32_t> staleness_;   // per post-publish cycle
-  std::vector<double> served_error_;       // aligned with staleness_
-  double true_mean_ = 0.0;                 // last snapshot's value mean
   std::vector<stats::RunningStats> val_seg_stats_;  // [segment], values
-  SnapshotStore store_;
-  std::optional<core::EpochMachine> epoch_machine_;
-
-  overlay::Graph graph_;  // static topologies
-  std::unique_ptr<membership::NewscastNetwork> newscast_;
   std::vector<membership::NewscastNetwork::MergeBuffers> merge_buffers_;
 
+  ParallelRunner* pool_ = nullptr;  // set for the duration of run()
   IntraRepPhaseProfile* profile_ = nullptr;
-
-  bool initialized_ = false;
-  bool ran_ = false;
 };
 
 }  // namespace gossip::experiment

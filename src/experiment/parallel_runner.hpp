@@ -11,10 +11,8 @@
 // deriving one seed per job (rep_seed() / split_seeds()), never from a
 // shared generator.
 //
-// This generalizes the worker machinery of src/runtime/threaded.* (the
-// protocol-on-real-threads runtime): same idea of long-lived joinable
-// workers, but the unit of work is "one whole repetition", not "one
-// message".
+// The workers are long-lived and joinable; the unit of work is one job
+// (a whole repetition, or one shard of an intra-rep phase).
 //
 // Worker count resolution, in priority order:
 //   explicit constructor argument > GOSSIP_THREADS env > hardware cores.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "stats/running_stats.hpp"
 #include "stats/summary.hpp"
 #include "theory/predictions.hpp"
@@ -1181,30 +1179,6 @@ std::string scale_note(const Scale& s, const std::string& paper_setup) {
      << (s.full ? " [paper scale]" : " [scaled default]")
      << " | paper: " << paper_setup;
   return os.str();
-}
-
-int scenario_main(const std::string& name) {
-  try {
-    const ScenarioDef* def = ScenarioRegistry::instance().find(name);
-    if (def == nullptr) {
-      std::cerr << "gossip: unknown scenario '" << name << "'\n";
-      return 2;
-    }
-    const Scale s = scenario_scale(def->info);
-    print_banner(std::cout, def->info.figure, def->info.description,
-                 scale_note(s, def->info.paper_setup));
-    ScenarioOutput out = run_scenario(*def, s);
-    out.table.print(std::cout);
-    out.table.maybe_write_csv_file(name);
-    std::cout << '\n' << out.trailer << '\n';
-    return 0;
-  } catch (const EnvError& e) {
-    std::cerr << "gossip: " << e.what() << '\n';
-    return 2;
-  } catch (const SpecError& e) {
-    std::cerr << "gossip: " << e.what() << '\n';
-    return 2;
-  }
 }
 
 }  // namespace gossip::experiment

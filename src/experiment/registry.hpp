@@ -2,9 +2,9 @@
 // paper's evaluation is a *named scenario* — a builder producing
 // declarative ScenarioSpecs (spec.hpp) plus a fold that turns the
 // Engine's results into exactly the series the paper plots. The
-// `gossip_run` CLI and the thin per-figure wrapper binaries are both
-// driven from here; goldens in tests/scenario_registry_test.cpp pin the
-// emitted series to the pre-redesign binaries bit-for-bit.
+// `gossip_run` CLI is driven from here; goldens in
+// tests/scenario_registry_test.cpp pin the emitted series to the
+// pre-redesign binaries bit-for-bit.
 #pragma once
 
 #include <functional>
@@ -76,11 +76,5 @@ ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
 
 /// The banner scale string ("N=…, reps=…, seed=…, threads<=…").
 std::string scale_note(const Scale& s, const std::string& paper_setup);
-
-/// Whole main() body for the per-figure wrapper binaries: resolve scale
-/// from the environment, run, print banner + table + trailer, mirror to
-/// GOSSIP_CSV_DIR. Returns the process exit code (2 on EnvError /
-/// SpecError, with the one-line message on stderr).
-int scenario_main(const std::string& name);
 
 }  // namespace gossip::experiment

@@ -7,6 +7,7 @@
 
 #include "common/require.hpp"
 #include "common/stream_salt.hpp"
+#include "core/update.hpp"
 #include "proto/wire.hpp"
 
 namespace gossip::runtime {
@@ -338,7 +339,7 @@ void Executor::process(Worker& w, Frame&& frame) {
       w.counters.replies_sent++;
       send_message(w, d, frame.src,
                    proto::AggReply{0, push->request_id, mine, false});
-      estimates_[d] = 0.5 * (mine + push->value);
+      estimates_[d] = core::AverageUpdate::apply(mine, push->value);
     }
   } else if (const auto* reply = std::get_if<proto::AggReply>(&message)) {
     if (!alive_[d]) {
@@ -348,7 +349,7 @@ void Executor::process(Worker& w, Frame&& frame) {
       pending_peer_[d] = NodeId::invalid().value();
       w.counters.replies_received++;
       if (!reply->refused) {
-        estimates_[d] = 0.5 * (estimates_[d] + reply->value);
+        estimates_[d] = core::AverageUpdate::apply(estimates_[d], reply->value);
         w.counters.exchanges_completed++;
       }
     } else {

@@ -1,8 +1,7 @@
 // The deployment-runtime executor: the actual protocol (paper fig. 1) on
-// real threads and a real transport, replacing the thread-per-node design
-// of threaded.hpp with an event-driven dispatcher so N=10³–10⁴ nodes fit
-// in one process (and K processes can host disjoint id ranges over the
-// socket transport).
+// real threads and a real transport, with an event-driven dispatcher so
+// N=10³–10⁴ nodes fit in one process (and K processes can host disjoint
+// id ranges over the socket transport).
 //
 // Architecture: W worker threads each own a partition of the local nodes.
 // A per-worker timer wheel staggers each node's δ-cycle wakeup across

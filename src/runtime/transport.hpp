@@ -1,9 +1,9 @@
 // Transport abstraction of the deployment runtime: encoded proto wire
 // bytes move between nodes through one of two implementations —
 //
-//  * LoopbackTransport: in-process delivery through the same mailbox
-//    machinery the thread-per-node runtime uses, for N=10³–10⁴ nodes in
-//    one process;
+//  * LoopbackTransport: in-process delivery straight into the sink (the
+//    executor's per-worker ingress queue), for N=10³–10⁴ nodes in one
+//    process;
 //  * SocketTransport: real TCP over loopback between K processes hosting
 //    disjoint node-id ranges, length-prefixed frames, plus a cycle-done
 //    control channel so cooperating processes can close each δ cycle
@@ -109,8 +109,7 @@ private:
 };
 
 /// In-process transport: every node is local, frames go straight to the
-/// sink. This is the mailbox path of the thread-per-node runtime promoted
-/// behind the Transport interface.
+/// sink after the fault draw.
 class LoopbackTransport final : public Transport {
 public:
   explicit LoopbackTransport(FaultConfig faults = {});

@@ -12,6 +12,8 @@
 #include "common/require.hpp"
 #include "experiment/cycle_sim.hpp"
 #include "experiment/engine.hpp"
+#include "experiment/intra_rep.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "experiment/scale.hpp"
 #include "experiment/spec.hpp"
 #include "experiment/table.hpp"
@@ -59,37 +61,63 @@ RunResult run_cnt(const SimConfig& cfg, const failure::FailurePlan& plan,
 }
 
 // ------------------------------------------------------------ mechanics
+//
+// The lifecycle guards run on both cycle engines. Each adapter builds
+// one engine from a SimConfig and runs it against a plan, so a test body
+// is written once for both.
 
-TEST(CycleSim, RequiresInitialization) {
-  CycleSimulation sim(base_config(100, 5, TopologyConfig::complete()),
-                      Rng(1));
+struct SerialEngine {
+  explicit SerialEngine(const SimConfig& cfg) : sim(cfg, Rng(1)) {}
+  void run(const failure::FailurePlan& plan) { sim.run(plan); }
+  CycleSimulation sim;
+};
+
+struct IntraRepEngine {
+  explicit IntraRepEngine(const SimConfig& cfg) : sim(cfg, 1, 2) {}
+  void run(const failure::FailurePlan& plan) { sim.run(plan, pool); }
+  ParallelRunner pool{1};
+  IntraRepSimulation sim;
+};
+
+template <typename E>
+class Lifecycle : public testing::Test {};
+using CycleEngines = testing::Types<SerialEngine, IntraRepEngine>;
+TYPED_TEST_SUITE(Lifecycle, CycleEngines);
+
+TYPED_TEST(Lifecycle, RequiresInitialization) {
+  TypeParam e(base_config(100, 5, TopologyConfig::complete()));
   failure::NoFailures none;
-  EXPECT_THROW(sim.run(none), require_error);
+  EXPECT_THROW(e.run(none), require_error);
 }
 
-TEST(CycleSim, RunOnlyOnce) {
-  CycleSimulation sim(base_config(100, 5, TopologyConfig::complete()),
-                      Rng(1));
-  sim.init_peak(100.0);
+TYPED_TEST(Lifecycle, RunOnlyOnce) {
+  TypeParam e(base_config(100, 5, TopologyConfig::complete()));
+  e.sim.init_peak(100.0);
   failure::NoFailures none;
-  sim.run(none);
-  EXPECT_THROW(sim.run(none), require_error);
+  e.run(none);
+  EXPECT_THROW(e.run(none), require_error);
 }
 
-TEST(CycleSim, ScalarInitNeedsSingleInstance) {
+TYPED_TEST(Lifecycle, ScalarInitNeedsSingleInstance) {
   SimConfig cfg = base_config(100, 5, TopologyConfig::complete());
   cfg.instances = 3;
-  CycleSimulation sim(cfg, Rng(1));
-  EXPECT_THROW(sim.init_peak(1.0), require_error);
+  TypeParam e(cfg);
+  EXPECT_THROW(e.sim.init_peak(1.0), require_error);
 }
 
-TEST(CycleSim, EstimateGuards) {
-  CycleSimulation sim(base_config(10, 1, TopologyConfig::complete()),
-                      Rng(1));
-  sim.init_peak(10.0);
-  EXPECT_THROW((void)sim.estimate(NodeId(10), 0), require_error);
-  EXPECT_THROW((void)sim.estimate(NodeId(0), 1), require_error);
-  EXPECT_DOUBLE_EQ(sim.estimate(NodeId(0), 0), 10.0);
+TYPED_TEST(Lifecycle, EstimateGuards) {
+  TypeParam e(base_config(10, 1, TopologyConfig::complete()));
+  e.sim.init_peak(10.0);
+  EXPECT_THROW((void)e.sim.estimate(NodeId(10), 0), require_error);
+  EXPECT_THROW((void)e.sim.estimate(NodeId(0), 1), require_error);
+  EXPECT_DOUBLE_EQ(e.sim.estimate(NodeId(0), 0), 10.0);
+}
+
+TYPED_TEST(Lifecycle, StaticTopologyRejectsJoins) {
+  TypeParam e(base_config(100, 5, TopologyConfig::random_k_out(10)));
+  e.sim.init_peak(100.0);
+  failure::Churn churn(5);
+  EXPECT_THROW(e.run(churn), require_error);
 }
 
 TEST(CycleSim, DeterministicBySeed) {
@@ -131,14 +159,6 @@ TEST(CycleSim, CycleStatsHasInitialSnapshotPlusOnePerCycle) {
   sim.run(none);
   ASSERT_EQ(sim.cycle_stats().size(), 8u);
   EXPECT_EQ(sim.cycle_stats().front().count(), 200u);
-}
-
-TEST(CycleSim, StaticTopologyRejectsJoins) {
-  const auto cfg = base_config(100, 5, TopologyConfig::random_k_out(10));
-  CycleSimulation sim(cfg, Rng(5));
-  sim.init_peak(100.0);
-  failure::Churn churn(5);
-  EXPECT_THROW(sim.run(churn), require_error);
 }
 
 TEST(CycleSim, JoinersAreNotParticipants) {

@@ -304,6 +304,71 @@ TEST(Byzantine, GeometryInvarianceWithRobustCombineAndPartition) {
   }
 }
 
+TEST(AdversarialGolden, ValueInjectMedianOfMeansHealingPartition) {
+  // Exact trajectories of the byzantine/robust receive path on both
+  // engines: 10% injectors, median-of-means over 3 groups, and a
+  // 2-component partition over cycles 2..5 that heals. Bound tests and
+  // cross-engine checks cannot see a change both engines make the same
+  // way; these goldens can.
+  ScenarioSpec spec = ScenarioSpec::average_peak("golden-adv", 200, 12)
+                          .with_init(InitKind::kUniform)
+                          .with_topology(TopologyConfig::newscast(10))
+                          .with_failure(FailureSpec::partition(2, 4, 2))
+                          .with_adversary(
+                              AdversarySpec::value_inject(0.1, 100.0))
+                          .with_combine(CombineSpec::median_of_means(3));
+  const double serial_expected[][2] = {
+      {1.0000730198202237, 0.36452279844044427},
+      {6.9991024590055915, 234.78709745734602},
+      {7.7951712526266448, 271.62186247552927},
+      {9.7396640505174954, 251.40146592422886},
+      {10.96465639047665, 242.5269714180634},
+      {11.85980800317007, 212.43629256729355},
+      {13.730742727800012, 242.75320100753271},
+      {16.168845943603994, 207.33716440796368},
+      {19.299924319084063, 207.30847635184136},
+      {21.135882900251726, 176.63569250433727},
+      {24.047293805931258, 206.28081289341358},
+      {26.587449583517547, 215.40561486296838},
+      {28.957495512839213, 296.61028448652604},
+  };
+  const double intra_expected[][2] = {
+      {1.0000730198202239, 0.36452279844044416},
+      {5.6464123892195364, 210.21799874797935},
+      {7.4438640393352564, 349.88738738884007},
+      {7.4470488204631078, 349.84907382460079},
+      {7.8544809956907047, 388.19393734248371},
+      {8.165881804847885, 383.36145148535172},
+      {8.5769871676848002, 394.96460565216773},
+      {9.4338935726430933, 404.26795392694748},
+      {8.5855246747674219, 272.5849883254175},
+      {9.5346322326105888, 228.33368846837021},
+      {10.697329157879587, 250.84982588064972},
+      {12.122606793907062, 227.02211108083398},
+      {13.177978726314995, 196.86677838874166},
+  };
+  const auto expect_golden = [](const RunResult& run,
+                                const double (&expected)[13][2]) {
+    ASSERT_EQ(run.per_cycle.size(), std::size(expected));
+    for (std::size_t c = 0; c < std::size(expected); ++c) {
+      EXPECT_EQ(run.per_cycle[c].mean(), expected[c][0]) << "cycle " << c;
+      EXPECT_EQ(run.per_cycle[c].variance(), expected[c][1])
+          << "cycle " << c;
+    }
+    EXPECT_EQ(run.participants, 181u);
+  };
+  Engine serial({EngineKind::kSerial, 1, 1});
+  Engine intra({EngineKind::kIntraRep, 1, 2});
+  {
+    SCOPED_TRACE("serial");
+    expect_golden(serial.run_single(spec, 2024), serial_expected);
+  }
+  {
+    SCOPED_TRACE("intra_rep, 2 shards");
+    expect_golden(intra.run_single(spec, 2024), intra_expected);
+  }
+}
+
 // ------------------------------------------- robust combine unit tests
 
 TEST(RobustCombine, TrimmedMeanOverOwnPlusWindow) {

@@ -223,6 +223,66 @@ TEST(DriftParity, IntraRepServiceInvariantAcrossShardsAndThreads) {
   }
 }
 
+TEST(DriftGolden, RandomWalkServicePipelineOnBothEngines) {
+  // Exact trajectories of the drift step and the epoch roll on both
+  // engines (random walk ±0.05, γ = 4 pipelined epochs). The parity
+  // tests above only compare the engines with each other, so a change
+  // both engines make the same way would slip past them; these goldens
+  // pin each engine's own output.
+  ScenarioSpec spec = drift_service_spec();
+  spec.cycles = 12;
+  const double serial_expected[][2] = {
+      {1.0022411026008404, 0.34854060553123822},
+      {1.0077310182640806, 0.13951698152983216},
+      {1.0076891641228782, 0.044856742495907029},
+      {1.0089281922077573, 0.012090004232522487},
+      {1.0098326160514211, 0.0038879928579896523},
+      {1.0124343793521215, 0.10167246324794443},
+      {1.0100538189966892, 0.03455758773423704},
+      {1.0092932758931172, 0.01447626835116958},
+      {1.0111414748738905, 0.0069169894722840887},
+      {1.0091917437107947, 0.12496345946435942},
+      {1.0112499345905195, 0.032242670294126245},
+      {1.0133595216809841, 0.013074257691098632},
+      {1.0118609484317111, 0.0065408330222197237},
+  };
+  const double intra_expected[][2] = {
+      {1.00224110260084, 0.34854060553123828},
+      {1.0077310182640815, 0.20619326879615321},
+      {1.0076891641228789, 0.12608611824635602},
+      {1.0089281922077578, 0.075162540226488578},
+      {1.0098326160514199, 0.045811384835186653},
+      {1.0124343793521218, 0.18626983193822444},
+      {1.0100538189966888, 0.11030679095670363},
+      {1.0092932758931166, 0.062537003404770891},
+      {1.0111414748738907, 0.035896819498546569},
+      {1.0091917437107947, 0.20014136881139313},
+      {1.0112499345905199, 0.12919234848404457},
+      {1.0133595216809843, 0.084055754399167348},
+      {1.0118609484317111, 0.049305970039472645},
+  };
+  const auto expect_golden = [](const RunResult& run,
+                                const double (&expected)[13][2]) {
+    ASSERT_EQ(run.per_cycle.size(), std::size(expected));
+    for (std::size_t c = 0; c < std::size(expected); ++c) {
+      EXPECT_EQ(run.per_cycle[c].mean(), expected[c][0]) << "cycle " << c;
+      EXPECT_EQ(run.per_cycle[c].variance(), expected[c][1])
+          << "cycle " << c;
+    }
+    EXPECT_EQ(run.epochs_published, 3u);
+  };
+  Engine serial({EngineKind::kSerial, 1, 1});
+  Engine intra({EngineKind::kIntraRep, 1, 2});
+  {
+    SCOPED_TRACE("serial");
+    expect_golden(serial.run_single(spec, 2025), serial_expected);
+  }
+  {
+    SCOPED_TRACE("intra_rep, 2 shards");
+    expect_golden(intra.run_single(spec, 2025), intra_expected);
+  }
+}
+
 // ------------------------------------------------- pipelined service runs
 
 TEST(Service, PipelinePublishesEveryEpochAndBoundsStaleness) {

@@ -32,7 +32,6 @@ TEST(StreamSaltTest, PinnedStreamSaltValues) {
   EXPECT_EQ(kAdversaryMembership, 0x62797a616e74ULL);
   EXPECT_EQ(kRuntimeDriver, 0xd21fe7a9b4c3580fULL);
   EXPECT_EQ(kRuntimeWorkerPool, 0x9c0b5e1fd2a68734ULL);
-  EXPECT_EQ(kThreadedLossNet, 0x9e3779b97f4a7c15ULL);
 }
 
 TEST(StreamSaltTest, PinnedMultiplierValues) {
@@ -53,7 +52,7 @@ TEST(StreamSaltTest, TablesCoverEveryNamedConstant) {
   for (std::uint64_t s :
        {kEngineInitValues, kEngineGraph, kEngineFaults, kIntraRepNewscast,
         kIntraRepAgg, kDriftDelta, kAdversaryMembership, kRuntimeDriver,
-        kRuntimeWorkerPool, kThreadedLossNet}) {
+        kRuntimeWorkerPool}) {
     EXPECT_TRUE(streams.count(s)) << "unregistered stream salt " << s;
   }
   const std::set<std::uint64_t> node_muls(kNodeStreamMultipliers.begin(),
