@@ -28,9 +28,9 @@ namespace gossip::salt {
 // with the *same* seed, so any two equal tags would alias streams.
 // ---------------------------------------------------------------------
 
-/// Initial-value distribution stream (engine.cpp init_nonpeak and the
-/// runtime's bit-identical runtime_initial_values): seed ^ salt. The
-/// historical 0xabcd of the initial-distribution ablation.
+/// Initial-value distribution stream (engine.cpp initial_values, shared
+/// by every driver): seed ^ salt. The historical 0xabcd of the
+/// initial-distribution ablation.
 inline constexpr std::uint64_t kEngineInitValues = 0xabcdULL;
 
 /// Static-graph construction for the deployment runtime (must be a pure

@@ -1,19 +1,6 @@
 #include "experiment/cycle_sim.hpp"
 
-#include <type_traits>
-
 namespace gossip::experiment {
-
-CycleSimulation::CycleSimulation(const SimConfig& config, Rng rng)
-    : SimulationCore(config, rng, overlay::Population(config.nodes)) {
-  if (newscast_) {
-    sampler_.emplace<membership::NewscastPeerSampler>(*newscast_);
-  } else if (config.topology.kind == TopologyKind::kComplete) {
-    sampler_.emplace<overlay::CompletePeerSampler>(population_);
-  } else {
-    sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-  }
-}
 
 std::uint32_t CycleSimulation::kill_range(std::uint32_t lo, std::uint32_t hi,
                                           std::uint32_t max_kills) {
@@ -31,25 +18,21 @@ void CycleSimulation::apply_drift(std::uint32_t cycle) {
 }
 
 void CycleSimulation::exchange_cycle(std::uint32_t cycle) {
-  if (newscast_) {
-    newscast_->run_cycle(population_, cycle + 1, rng_,
-                         pollutes_caches() ? &byz_ : nullptr);
+  if (overlay_.newscast) {
+    overlay_.newscast->run_cycle(population_, cycle + 1, rng_,
+                                 pollutes_caches() ? &byz_ : nullptr);
   }
   // One variant visit per cycle; the loop body is stamped out per
-  // concrete sampler so GETNEIGHBOR() fully inlines (the monostate arm is
-  // unreachable: the constructor always installs a sampler).
+  // concrete sampler so GETNEIGHBOR() fully inlines.
   std::visit(
-      [this, cycle](auto& sampler) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(sampler)>,
-                                      std::monostate>) {
-          aggregation_cycle_with(sampler, cycle);
-        }
+      [this, cycle](const auto& sampler) {
+        aggregation_cycle_with(sampler, cycle);
       },
       sampler_);
 }
 
 template <typename Sampler>
-void CycleSimulation::aggregation_cycle_with(Sampler& sampler,
+void CycleSimulation::aggregation_cycle_with(const Sampler& sampler,
                                              std::uint32_t cycle) {
   // The per-cycle permutation reuses a member scratch buffer: at N=100k
   // the old copy-construct allocated 400 KB per cycle per rep.

@@ -20,36 +20,28 @@
 // node (the t of §7.3); every exchange averages all slots element-wise,
 // matching the CountMap merge with absent-keys-as-zero (equivalence
 // tested in core_test.cpp).
+//
+// The overlay, its GETNEIGHBOR() sampler and the live set come from
+// SimulationCore; this driver adds the shuffled sequential pairing, the
+// draw-kill-draw crash order and one Welford stream per lane.
 #pragma once
 
 #include <cstdint>
-#include <variant>
 #include <vector>
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "experiment/sim_core.hpp"
 #include "failure/failure_plan.hpp"
-#include "membership/newscast.hpp"
-#include "overlay/peer_sampler.hpp"
-#include "overlay/population.hpp"
 
 namespace gossip::experiment {
 
-/// The concrete GETNEIGHBOR() strategies a simulation can run over. The
-/// drivers visit the variant once per *cycle* (not per node), so each
-/// aggregation loop is stamped out per sampler type and the RNG + table
-/// lookups inline — there is no virtual call left on the hot path.
-using SamplerVariant =
-    std::variant<std::monostate, overlay::GraphPeerSampler,
-                 overlay::CompletePeerSampler,
-                 membership::NewscastPeerSampler>;
-
 /// One single-epoch aggregation run. Construct, initialize values, run,
 /// then read estimates/statistics (the shared surface of SimulationCore).
-class CycleSimulation final : public SimulationCore<overlay::Population> {
+class CycleSimulation final : public SimulationCore {
 public:
-  CycleSimulation(const SimConfig& config, Rng rng);
+  CycleSimulation(const SimConfig& config, Rng rng)
+      : SimulationCore(config, rng) {}
 
   /// Runs `config.cycles` cycles under the given failure plan. Can only
   /// be called once per simulation.
@@ -63,11 +55,10 @@ private:
   void exchange_cycle(std::uint32_t cycle) override;
   void record_stats() override;
   template <typename Sampler>
-  void aggregation_cycle_with(Sampler& sampler, std::uint32_t cycle);
+  void aggregation_cycle_with(const Sampler& sampler, std::uint32_t cycle);
 
   std::vector<NodeId> order_scratch_;  // aggregation permutation
   CombineScratch combine_scratch_;
-  SamplerVariant sampler_;
 };
 
 }  // namespace gossip::experiment

@@ -7,7 +7,6 @@
 #include "experiment/cycle_sim.hpp"
 #include "experiment/intra_rep.hpp"
 #include "experiment/push_sum.hpp"
-#include "overlay/generators.hpp"
 #include "proto/world.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/transport.hpp"
@@ -60,41 +59,47 @@ SimConfig sim_config_of(const ScenarioSpec& spec) {
   return cfg;
 }
 
-/// Scalar initialization for non-peak distributions. The value stream is
-/// derived as seed ^ kEngineInitValues — the historical scheme of the
-/// initial-distribution ablation — and consumed in node-id order.
-template <typename Sim>
-void init_nonpeak(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
+/// The per-node initial values of a scalar workload, in node-id order:
+/// the peak puts N on node 0; the other distributions draw from the
+/// seed ^ kEngineInitValues stream (the historical scheme of the
+/// initial-distribution ablation). Every driver starts from this vector,
+/// so the runtime_vs_sim cross-check compares runs that start
+/// bit-identically.
+std::vector<double> initial_values(const ScenarioSpec& spec,
+                                   std::uint64_t seed) {
+  std::vector<double> initial(spec.nodes, 0.0);
   Rng values_rng(seed ^ salt::kEngineInitValues);
-  sim.init_scalar([&](NodeId id) -> double {
+  for (std::uint32_t u = 0; u < spec.nodes; ++u) {
     switch (spec.init) {
-      case InitKind::kUniform: return values_rng.uniform(0.0, 2.0);
-      case InitKind::kBimodal: return id.value() % 2 == 0 ? 0.0 : 2.0;
-      case InitKind::kExponential: return values_rng.exponential(1.0);
-      case InitKind::kPeak: break;  // handled by the callers
+      case InitKind::kPeak:
+        initial[u] = u == 0 ? static_cast<double>(spec.nodes) : 0.0;
+        break;
+      case InitKind::kUniform: initial[u] = values_rng.uniform(0.0, 2.0); break;
+      case InitKind::kBimodal: initial[u] = u % 2 == 0 ? 0.0 : 2.0; break;
+      case InitKind::kExponential:
+        initial[u] = values_rng.exponential(1.0);
+        break;
     }
-    return 0.0;
-  });
+  }
+  return initial;
 }
 
+/// Scalar initialization from initial_values (push-sum and both cycle
+/// drivers expose the same init_scalar).
 template <typename Sim>
-void init_scalar_distribution(Sim& sim, const ScenarioSpec& spec,
-                              std::uint64_t seed) {
-  if (spec.init == InitKind::kPeak) {
-    sim.init_peak(static_cast<double>(spec.nodes));
-    return;
-  }
-  init_nonpeak(sim, spec, seed);
+void init_values(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
+  const std::vector<double> initial = initial_values(spec, seed);
+  sim.init_scalar([&initial](NodeId id) { return initial[id.value()]; });
 }
 
 /// Workload init shared by the serial and intra-rep cycle drivers (both
-/// expose the same init_count_leaders/init_peak/init_scalar surface).
+/// expose the same init_count_leaders/init_scalar surface).
 template <typename Sim>
 void init_workload(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
   if (spec.aggregate == AggregateKind::kCount) {
     sim.init_count_leaders();
   } else {
-    init_scalar_distribution(sim, spec, seed);
+    init_values(sim, spec, seed);
   }
 }
 
@@ -180,15 +185,7 @@ RunResult exec_push_sum(const ScenarioSpec& spec, std::uint64_t seed) {
   cfg.topology = spec.topology;
   cfg.p_message_loss = spec.comm.message_loss;
   PushSumSimulation sim(cfg, Rng(seed));
-  if (spec.init == InitKind::kPeak) {
-    // Push-sum has no init_peak shortcut; the historical baseline seeds
-    // the peak through init_scalar.
-    const auto nodes = static_cast<double>(spec.nodes);
-    sim.init_scalar(
-        [nodes](NodeId id) { return id.value() == 0 ? nodes : 0.0; });
-  } else {
-    init_nonpeak(sim, spec, seed);
-  }
+  init_values(sim, spec, seed);
   sim.run();
 
   RunResult out;
@@ -198,31 +195,6 @@ RunResult exec_push_sum(const ScenarioSpec& spec, std::uint64_t seed) {
   out.sizes = stats::summarize(estimates);
   out.participants = static_cast<std::uint32_t>(estimates.size());
   return out;
-}
-
-/// The global initial-value vector of a runtime repetition, in node-id
-/// order from the same seed ^ kEngineInitValues stream as init_nonpeak —
-/// so the runtime_vs_sim cross-check compares runs that start
-/// bit-identically.
-std::vector<double> runtime_initial_values(const ScenarioSpec& spec,
-                                           std::uint64_t seed) {
-  std::vector<double> initial(spec.nodes, 0.0);
-  if (spec.init == InitKind::kPeak) {
-    initial[0] = static_cast<double>(spec.nodes);
-    return initial;
-  }
-  Rng values_rng(seed ^ salt::kEngineInitValues);
-  for (std::uint32_t u = 0; u < spec.nodes; ++u) {
-    switch (spec.init) {
-      case InitKind::kUniform: initial[u] = values_rng.uniform(0.0, 2.0); break;
-      case InitKind::kBimodal: initial[u] = u % 2 == 0 ? 0.0 : 2.0; break;
-      case InitKind::kExponential:
-        initial[u] = values_rng.exponential(1.0);
-        break;
-      case InitKind::kPeak: break;  // handled above
-    }
-  }
-  return initial;
 }
 
 /// Upper bound on nodes the failure plan may join over the whole run —
@@ -250,47 +222,24 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.delta_us = rt.delta_us;
   cfg.cycle_timeout = std::chrono::milliseconds(rt.timeout_ms);
   cfg.seed = seed;
-  cfg.initial = runtime_initial_values(spec, seed);
+  cfg.initial = initial_values(spec, seed);
   cfg.max_joins = runtime_join_headroom(spec);
 
   // The overlay must be identical in every cooperating process, so the
-  // static graphs are a pure function of the repetition seed alone.
-  overlay::Graph graph;
-  switch (spec.topology.kind) {
-    case TopologyKind::kComplete:
-      cfg.overlay = runtime::OverlayMode::kComplete;
-      break;
-    case TopologyKind::kNewscast:
-      cfg.overlay = runtime::OverlayMode::kNewscast;
-      cfg.cache_size = static_cast<std::uint32_t>(spec.topology.cache_size);
-      break;
-    case TopologyKind::kRandomKOut:
-    case TopologyKind::kRingLattice:
-    case TopologyKind::kWattsStrogatz:
-    case TopologyKind::kBarabasiAlbert: {
-      Rng graph_rng(seed ^ salt::kEngineGraph);
-      switch (spec.topology.kind) {
-        case TopologyKind::kRandomKOut:
-          graph = overlay::random_k_out(spec.nodes, spec.topology.degree,
-                                        graph_rng);
-          break;
-        case TopologyKind::kRingLattice:
-          graph = overlay::ring_lattice(spec.nodes, spec.topology.degree);
-          break;
-        case TopologyKind::kWattsStrogatz:
-          graph = overlay::watts_strogatz(spec.nodes, spec.topology.degree,
-                                          spec.topology.beta, graph_rng);
-          break;
-        case TopologyKind::kBarabasiAlbert:
-          graph = overlay::barabasi_albert(spec.nodes,
-                                           spec.topology.degree / 2, graph_rng);
-          break;
-        default: break;  // unreachable
-      }
-      cfg.overlay = runtime::OverlayMode::kStatic;
-      cfg.graph = &graph;
-      break;
-    }
+  // static graphs are a pure function of the repetition seed alone. The
+  // executor keeps its own NEWSCAST caches and gossips them over the
+  // wire, so only the graph half of the overlay is built here.
+  Rng graph_rng(seed ^ salt::kEngineGraph);
+  const overlay::Graph graph =
+      build_graph(spec.topology, spec.nodes, graph_rng);
+  if (graph.node_count() > 0) {
+    cfg.overlay = runtime::OverlayMode::kStatic;
+    cfg.graph = &graph;
+  } else if (spec.topology.kind == TopologyKind::kNewscast) {
+    cfg.overlay = runtime::OverlayMode::kNewscast;
+    cfg.cache_size = static_cast<std::uint32_t>(spec.topology.cache_size);
+  } else {
+    cfg.overlay = runtime::OverlayMode::kComplete;
   }
 
   if (spec.drift.enabled()) {

@@ -42,17 +42,15 @@ SimConfig checked(const SimConfig& config) {
 
 IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
                                        std::uint64_t seed, unsigned shards)
-    // Degenerate-geometry guard: more shards than nodes would only
-    // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be
-    // 4096 against N=8 in scaled-down CI runs). Shard count is
-    // semantically invisible — output is bit-identical for any value —
-    // so clamping to N never changes a result.
-    : SimulationCore(checked(config), Rng(seed),
-                     overlay::ShardedPopulation(
-                         config.nodes,
-                         std::max(1u, std::min(shards, config.nodes)))),
+    : SimulationCore(checked(config), Rng(seed)),
       seed_(seed),
-      combine_scratch_(population_.shards()) {}
+      // Degenerate-geometry guard: more shards than nodes would only
+      // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be
+      // 4096 against N=8 in scaled-down CI runs). Shard count is
+      // semantically invisible — output is bit-identical for any value —
+      // so clamping to N never changes a result.
+      shards_(std::max(1u, std::min(shards, config.nodes))),
+      combine_scratch_(shards_) {}
 
 void IntraRepSimulation::par_run(
     std::size_t count, const std::function<void(std::size_t)>& job) {
@@ -67,18 +65,28 @@ void IntraRepSimulation::par_run(
           .count();
 }
 
-overlay::ParallelFor IntraRepSimulation::parallel_for() {
-  return [this](std::size_t count,
-                const std::function<void(std::size_t)>& job) {
-    par_run(count, job);
-  };
+void IntraRepSimulation::kill_victims() {
+  const overlay::ParallelFor par =
+      [this](std::size_t count, const std::function<void(std::size_t)>& job) {
+        par_run(count, job);
+      };
+  population_.kill_many(victims_, shards_, &par);
 }
 
 std::uint32_t IntraRepSimulation::kill_range(std::uint32_t lo,
                                              std::uint32_t hi,
                                              std::uint32_t max_kills) {
-  const overlay::ParallelFor par = parallel_for();
-  return population_.kill_range(lo, hi, max_kills, &par);
+  // The victim scan is serial and in ascending id order: the victim *set*
+  // (and therefore the stable compaction) is a pure function of the
+  // population state, independent of shards/threads.
+  victims_.clear();
+  const std::uint32_t end = std::min(hi, population_.total());
+  for (std::uint32_t id = lo; id < end && victims_.size() < max_kills;
+       ++id) {
+    if (population_.alive_unchecked(NodeId(id))) victims_.emplace_back(id);
+  }
+  kill_victims();
+  return static_cast<std::uint32_t>(victims_.size());
 }
 
 void IntraRepSimulation::kill_uniform(std::uint32_t kills) {
@@ -90,24 +98,22 @@ void IntraRepSimulation::kill_uniform(std::uint32_t kills) {
        rng_.sample_distinct(population_.live_count(), kills)) {
     victims_.push_back(population_.live()[pos]);
   }
-  const overlay::ParallelFor par = parallel_for();
-  population_.kill_many(victims_, &par);
+  kill_victims();
 }
 
 void IntraRepSimulation::apply_drift(std::uint32_t cycle) {
-  par_run(population_.shards(), [&](std::size_t s) {
-    const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
+  par_run(shards_, [&](std::size_t s) {
+    const auto [lo, hi] = id_range(static_cast<unsigned>(s));
     drift_range(cycle, lo, hi);
   });
 }
 
-template <typename SampleFn>
+template <typename Sampler>
 void IntraRepSimulation::propose(std::uint32_t cycle, std::uint64_t salt,
                                  bool draw_outcome, bool participants_only,
-                                 SampleFn&& sample) {
-  const unsigned shards = population_.shards();
-  par_run(shards, [&](std::size_t s) {
-    const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
+                                 const Sampler& sampler) {
+  par_run(shards_, [&](std::size_t s) {
+    const auto [lo, hi] = id_range(static_cast<unsigned>(s));
     for (std::uint32_t u = lo; u < hi; ++u) {
       const NodeId p(u);
       if (!population_.alive_unchecked(p)) continue;
@@ -120,7 +126,7 @@ void IntraRepSimulation::propose(std::uint32_t cycle, std::uint64_t salt,
       // per-round convergence factor hinges on.
       NodeId* cand = &proposals_[static_cast<std::size_t>(u) * kCandidates];
       for (unsigned c = 0; c < kCandidates; ++c) {
-        cand[c] = sample(p, stream);
+        cand[c] = sampler.sample(p, stream);
       }
       if (draw_outcome && cand[0].is_valid()) {
         outcome_[u] = static_cast<std::uint8_t>(config_.comm.sample(stream));
@@ -162,21 +168,20 @@ void IntraRepSimulation::match(bool participants_only) {
   // every round resolves nodes and the loop terminates (in practice a
   // handful of rounds). Shards emptied by a mass crash are invisible:
   // state is keyed by node id, never by the decomposition.
-  const unsigned shards = population_.shards();
   const std::uint32_t total = population_.total();
 
   if (reserve_size_ < total) {
     reserve_ = std::make_unique<std::atomic<std::uint64_t>[]>(total);
     reserve_size_ = total;
   }
-  active_.resize(shards);
-  touched_.resize(shards);
+  active_.resize(shards_);
+  touched_.resize(shards_);
 
   // Init pass: per-node match state, candidate-list truncation (the
   // break conditions — invalid/self/dead/refusing — depend only on
   // state frozen for the whole match), and the per-shard active lists.
-  par_run(shards, [&](std::size_t s) {
-    const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
+  par_run(shards_, [&](std::size_t s) {
+    const auto [lo, hi] = id_range(static_cast<unsigned>(s));
     auto& active = active_[s];
     active.clear();
     for (std::uint32_t u = lo; u < hi; ++u) {
@@ -218,7 +223,7 @@ void IntraRepSimulation::match(bool participants_only) {
 
   while (remaining > 0) {
     // Pass A: advance cursors, compact the active lists, reserve.
-    par_run(shards, [&](std::size_t s) {
+    par_run(shards_, [&](std::size_t s) {
       auto& active = active_[s];
       auto& touched = touched_[s];
       std::size_t w = 0;
@@ -244,7 +249,7 @@ void IntraRepSimulation::match(bool participants_only) {
     });
 
     // Pass B: commit edges that hold both reservations.
-    par_run(shards, [&](std::size_t s) {
+    par_run(shards_, [&](std::size_t s) {
       auto& active = active_[s];
       std::size_t w = 0;
       for (const std::uint32_t u : active) {
@@ -268,7 +273,7 @@ void IntraRepSimulation::match(bool participants_only) {
     });
 
     // Pass C: clear every reservation this round touched.
-    par_run(shards, [&](std::size_t s) {
+    par_run(shards_, [&](std::size_t s) {
       for (const std::uint32_t idx : touched_[s]) {
         reserve_[idx].store(kFreeCell, std::memory_order_relaxed);
       }
@@ -287,20 +292,19 @@ void IntraRepSimulation::collect_pairs() {
   // counts, an O(shards) exclusive prefix, then a parallel scatter — the
   // resulting pairs_ content (and order) is a pure function of the
   // matching, not of the decomposition.
-  const unsigned shards = population_.shards();
-  pair_offsets_.assign(shards + 1, 0);
-  par_run(shards, [&](std::size_t s) {
-    const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
+  pair_offsets_.assign(shards_ + 1, 0);
+  par_run(shards_, [&](std::size_t s) {
+    const auto [lo, hi] = id_range(static_cast<unsigned>(s));
     std::size_t count = 0;
     for (std::uint32_t u = lo; u < hi; ++u) count += initiator_[u];
     pair_offsets_[s + 1] = count;
   });
-  for (unsigned s = 0; s < shards; ++s) {
+  for (unsigned s = 0; s < shards_; ++s) {
     pair_offsets_[s + 1] += pair_offsets_[s];
   }
-  pairs_.resize(pair_offsets_[shards]);
-  par_run(shards, [&](std::size_t s) {
-    const auto [lo, hi] = population_.id_range(static_cast<unsigned>(s));
+  pairs_.resize(pair_offsets_[shards_]);
+  par_run(shards_, [&](std::size_t s) {
+    const auto [lo, hi] = id_range(static_cast<unsigned>(s));
     std::size_t w = pair_offsets_[s];
     for (std::uint32_t u = lo; u < hi; ++u) {
       if (initiator_[u]) pairs_[w++] = {NodeId(u), partner_[u]};
@@ -324,10 +328,10 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   // the same per-node stream (e.g. cycle 0 round 3 vs cycle 2 round 1);
   // the stream-salt registry static_asserts that distinctness.
   const std::uint64_t salt = salt::newscast_round_salt(round);
+  membership::NewscastNetwork& newscast = *overlay_.newscast;
   propose(cycle, salt, /*draw_outcome=*/false,
-          /*participants_only=*/false, [this](NodeId p, Rng& rng) {
-            return newscast_->sample_view(p, rng);
-          });
+          /*participants_only=*/false,
+          membership::NewscastPeerSampler(newscast));
   match(/*participants_only=*/false);
   // Pairs are disjoint, so chunked application with per-chunk merge
   // buffers writes disjoint cache slots — race-free without locks, and
@@ -337,8 +341,7 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   // sizing them by GOSSIP_SHARDS (up to 4096) would be pure memory waste
   // when only pool_->threads() jobs ever run at once.
   const std::size_t chunks =
-      std::min<std::size_t>(population_.shards(),
-                            std::max(1u, pool_->threads()));
+      std::min<std::size_t>(shards_, std::max(1u, pool_->threads()));
   if (merge_buffers_.size() < chunks) merge_buffers_.resize(chunks);
   const std::size_t count = pairs_.size();
   const bool pollute = pollutes_caches();
@@ -351,33 +354,32 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
     // the next pair's slots are prefetched while the current pair
     // merges. Purely a latency hint — merge order is unchanged.
     if (lo < hi) {
-      newscast_->prefetch_slots(pairs_[lo].first, pairs_[lo].second);
+      newscast.prefetch_slots(pairs_[lo].first, pairs_[lo].second);
     }
     for (std::size_t k = lo; k < hi; ++k) {
       if (k + 1 < hi) {
-        newscast_->prefetch_slots(pairs_[k + 1].first, pairs_[k + 1].second);
+        newscast.prefetch_slots(pairs_[k + 1].first, pairs_[k + 1].second);
       }
       const auto [a, b] = pairs_[k];
       if (pollute && (byz_[a.value()] || byz_[b.value()])) {
         // A polluting side advertises only itself (exchange_partial
         // touches just this pair's slots, so chunking stays race-free).
-        newscast_->exchange_partial(buffers, a, b, now, byz_[a.value()] == 0,
-                                    byz_[b.value()] == 0);
+        newscast.exchange_partial(buffers, a, b, now, byz_[a.value()] == 0,
+                                  byz_[b.value()] == 0);
       } else {
-        newscast_->exchange(buffers, a, b, now);
+        newscast.exchange(buffers, a, b, now);
       }
     }
   });
 }
 
 void IntraRepSimulation::apply_pairs(std::uint32_t cycle) {
-  const unsigned shards = population_.shards();
   const std::size_t count = pairs_.size();
   const std::uint32_t t = config_.instances;
   const bool partitioned = config_.partition.active(cycle);
-  par_run(shards, [&](std::size_t s) {
-    const std::size_t lo = count * s / shards;
-    const std::size_t hi = count * (s + 1) / shards;
+  par_run(shards_, [&](std::size_t s) {
+    const std::size_t lo = count * s / shards_;
+    const std::size_t hi = count * (s + 1) / shards_;
     // One-pair-ahead prefetch of both estimate rows (and the outcome
     // byte), mirroring the apply pipeline of the serial driver: the
     // updates themselves are two dependent random rows per pair, which
@@ -412,28 +414,14 @@ void IntraRepSimulation::aggregation_round(std::uint32_t cycle,
   // before the next round samples — so round r+1 mixes the values round
   // r produced.
   const std::uint64_t salt = salt::agg_round_salt(round);
-  switch (config_.topology.kind) {
-    case TopologyKind::kComplete:
-      propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
-                return population_.sample_live_other(p, rng);
-              });
-      break;
-    case TopologyKind::kNewscast:
-      propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
-                return newscast_->sample_view(p, rng);
-              });
-      break;
-    default:
-      propose(cycle, salt, /*draw_outcome=*/true,
-              /*participants_only=*/true, [this](NodeId p, Rng& rng) {
-                const auto ns = graph_.neighbors(p);
-                if (ns.empty()) return NodeId::invalid();
-                return ns[rng.below(ns.size())];
-              });
-      break;
-  }
+  // One variant visit per round; propose is stamped out per concrete
+  // sampler so GETNEIGHBOR() inlines into the per-node loop.
+  std::visit(
+      [&](const auto& sampler) {
+        propose(cycle, salt, /*draw_outcome=*/true,
+                /*participants_only=*/true, sampler);
+      },
+      sampler_);
   match(/*participants_only=*/true);
   apply_pairs(cycle);
 }
@@ -457,7 +445,7 @@ void IntraRepSimulation::exchange_cycle(std::uint32_t cycle) {
   // partners correlated across rounds), then `match_rounds`
   // aggregation rounds, each applied before the next draws.
   for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
-    if (newscast_) newscast_round(cycle, round, cycle + 1);
+    if (overlay_.newscast) newscast_round(cycle, round, cycle + 1);
   }
   for (std::uint32_t round = 0; round < config_.match_rounds; ++round) {
     aggregation_round(cycle, round);

@@ -5,7 +5,7 @@
 //
 // Execution model ("matched" bulk-synchronous cycles):
 //   1. failure events apply at the cycle boundary; batched crashes retire
-//      through ShardedPopulation::kill_many's stable parallel compaction;
+//      through Population::kill_many's stable parallel compaction;
 //   2. PROPOSE (parallel over id-space shards, read-only): every live
 //      node draws its exchange partner candidates — plus the exchange's
 //      communication fate and its match priority key — from its own
@@ -52,6 +52,12 @@
 // is serial O(N): the only serial residue is O(shards + segments) glue
 // (prefix sums and the reduction-tree folds).
 //
+// The engine owns its domain decomposition: `shards` contiguous id-space
+// slices (id_range) for the per-node sweeps, over the same live set,
+// overlay and GETNEIGHBOR() sampler as the serial driver (all from
+// SimulationCore). Each aggregation round visits the sampler variant
+// once, outside the per-node loop.
+//
 // The matched model restricts each node to at most one exchange per
 // round (the serial driver additionally lets nodes answer several
 // initiators), so per-cycle convergence factors differ by a constant
@@ -72,7 +78,7 @@
 #include "experiment/sim_core.hpp"
 #include "failure/failure_plan.hpp"
 #include "membership/newscast.hpp"
-#include "overlay/sharded_population.hpp"
+#include "overlay/population.hpp"
 #include "stats/running_stats.hpp"
 
 namespace gossip::experiment {
@@ -99,8 +105,7 @@ struct IntraRepPhaseProfile {
 /// against a ParallelRunner, then read estimates/statistics — the same
 /// lifecycle, workload vocabulary and result surface as CycleSimulation
 /// (both are a SimulationCore).
-class IntraRepSimulation final
-    : public SimulationCore<overlay::ShardedPopulation> {
+class IntraRepSimulation final : public SimulationCore {
 public:
   /// `shards` is the domain-decomposition width (GOSSIP_SHARDS); the
   /// runner passed to run() supplies the worker threads. Degenerate
@@ -120,7 +125,7 @@ public:
     profile_ = profile;
   }
 
-  [[nodiscard]] unsigned shards() const { return population_.shards(); }
+  [[nodiscard]] unsigned shards() const { return shards_; }
 
 private:
   std::uint32_t kill_range(std::uint32_t lo, std::uint32_t hi,
@@ -134,17 +139,28 @@ private:
                       std::uint64_t now);
   void aggregation_round(std::uint32_t cycle, std::uint32_t round);
   void apply_pairs(std::uint32_t cycle);
-  template <typename SampleFn>
+  template <typename Sampler>
   void propose(std::uint32_t cycle, std::uint64_t salt, bool draw_outcome,
-               bool participants_only, SampleFn&& sample);
+               bool participants_only, const Sampler& sampler);
   void match(bool participants_only);
   void collect_pairs();
+
+  /// Contiguous id-space slice [lo, hi) owned by `shard` — the unit the
+  /// per-node sweeps partition by. Covers every id ever issued; dead ids
+  /// are skipped by the sweep's alive check.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> id_range(
+      unsigned shard) const {
+    const std::uint64_t n = population_.total();
+    return {static_cast<std::uint32_t>(n * shard / shards_),
+            static_cast<std::uint32_t>(n * (shard + 1) / shards_)};
+  }
+
+  /// Retires victims_ through the stable parallel compaction.
+  void kill_victims();
 
   /// pool_->run with optional phase-profile accounting.
   void par_run(std::size_t count,
                const std::function<void(std::size_t)>& job);
-  /// par_run as the population's executor seam.
-  [[nodiscard]] overlay::ParallelFor parallel_for();
 
   /// The derived generator for one node's draws in one phase (round) of
   /// one cycle. Keyed by node identity — never by shard — so
@@ -174,6 +190,7 @@ private:
   static constexpr std::uint32_t kStatsSegments = 64;
 
   std::uint64_t seed_;
+  unsigned shards_;  // domain-decomposition width, 1..nodes
   /// Proposal candidates per node per round; candidates past the first
   /// are claimed-peer fallbacks for the match resolution.
   static constexpr unsigned kCandidates = 4;

@@ -1,48 +1,21 @@
 #include "experiment/push_sum.hpp"
 
-#include <type_traits>
-
-#include "overlay/generators.hpp"
+#include <algorithm>
 
 namespace gossip::experiment {
 
 PushSumSimulation::PushSumSimulation(const PushSumConfig& config, Rng rng)
-    : config_(config), rng_(rng), population_(config.nodes) {
+    : config_(config),
+      rng_(rng),
+      population_(config.nodes),
+      overlay_(build_overlay(config.topology, config.nodes, rng_)),
+      sampler_(make_sampler(overlay_, population_)) {
   GOSSIP_REQUIRE(config.nodes >= 2, "push-sum needs at least two nodes");
   GOSSIP_REQUIRE(
       config.p_message_loss >= 0.0 && config.p_message_loss <= 1.0,
       "loss must be a probability");
   sums_.assign(config.nodes, 0.0);
   weights_.assign(config.nodes, 1.0);
-  const auto& topo = config_.topology;
-  switch (topo.kind) {
-    case TopologyKind::kComplete:
-      sampler_.emplace<overlay::CompletePeerSampler>(population_);
-      break;
-    case TopologyKind::kRandomKOut:
-      graph_ = overlay::random_k_out(config_.nodes, topo.degree, rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kRingLattice:
-      graph_ = overlay::ring_lattice(config_.nodes, topo.degree);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kWattsStrogatz:
-      graph_ = overlay::watts_strogatz(config_.nodes, topo.degree, topo.beta,
-                                       rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kBarabasiAlbert:
-      graph_ = overlay::barabasi_albert(config_.nodes, topo.degree / 2, rng_);
-      sampler_.emplace<overlay::GraphPeerSampler>(graph_);
-      break;
-    case TopologyKind::kNewscast:
-      newscast_ =
-          std::make_unique<membership::NewscastNetwork>(topo.cache_size);
-      newscast_->bootstrap_random(config_.nodes, 0, rng_);
-      sampler_.emplace<membership::NewscastPeerSampler>(*newscast_);
-      break;
-  }
 }
 
 void PushSumSimulation::init_scalar(
@@ -63,17 +36,16 @@ void PushSumSimulation::run() {
   std::vector<double> next_sums(sums_.size());
   std::vector<double> next_weights(weights_.size());
   for (std::uint32_t cycle = 0; cycle < config_.cycles; ++cycle) {
-    if (newscast_) newscast_->run_cycle(population_, cycle + 1, rng_);
+    if (overlay_.newscast) {
+      overlay_.newscast->run_cycle(population_, cycle + 1, rng_);
+    }
     std::fill(next_sums.begin(), next_sums.end(), 0.0);
     std::fill(next_weights.begin(), next_weights.end(), 0.0);
     // One variant visit per round, same devirtualized dispatch as the
     // push–pull driver.
     std::visit(
-        [&](auto& sampler) {
-          if constexpr (!std::is_same_v<std::decay_t<decltype(sampler)>,
-                                        std::monostate>) {
-            push_round(sampler, next_sums, next_weights);
-          }
+        [&](const auto& sampler) {
+          push_round(sampler, next_sums, next_weights);
         },
         sampler_);
     sums_.swap(next_sums);
@@ -83,7 +55,7 @@ void PushSumSimulation::run() {
 }
 
 template <typename Sampler>
-void PushSumSimulation::push_round(Sampler& sampler,
+void PushSumSimulation::push_round(const Sampler& sampler,
                                    std::vector<double>& next_sums,
                                    std::vector<double>& next_weights) {
   // Synchronous round (Kempe et al.): every node halves its pair,

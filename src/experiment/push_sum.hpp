@@ -4,9 +4,11 @@
 // (value, 1); each cycle it halves the pair, keeps one half and pushes
 // the other to a random peer; the estimate is sum/weight.
 //
-// Implemented on the same Population/PeerSampler substrate as the
-// push–pull driver so the two protocols can be compared on identical
-// overlays (bench/baseline_push_sum). The instructive contrasts:
+// Implemented on the same substrate as the push–pull driver — the overlay
+// from build_overlay and the GETNEIGHBOR() variant from make_sampler
+// (experiment/sim_core.hpp) over a Population — so the two protocols can
+// be compared on identical overlays (the baseline_push_sum scenario).
+// The instructive contrasts:
 //  * push-sum needs no replies (one-way UDP-style traffic), but
 //  * any lost message destroys conserved mass (both sum and weight),
 //    where push–pull only suffers from the response-loss asymmetry.
@@ -14,12 +16,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
-#include "experiment/cycle_sim.hpp"
+#include "experiment/sim_core.hpp"
+#include "overlay/population.hpp"
 #include "stats/convergence.hpp"
 #include "stats/running_stats.hpp"
 
@@ -60,14 +62,13 @@ private:
   void record_stats();
 
   template <typename Sampler>
-  void push_round(Sampler& sampler, std::vector<double>& next_sums,
+  void push_round(const Sampler& sampler, std::vector<double>& next_sums,
                   std::vector<double>& next_weights);
 
   PushSumConfig config_;
   Rng rng_;
   overlay::Population population_;
-  overlay::Graph graph_;
-  std::unique_ptr<membership::NewscastNetwork> newscast_;
+  Overlay overlay_;
   SamplerVariant sampler_;  // same devirtualized dispatch as CycleSimulation
   std::vector<double> sums_;
   std::vector<double> weights_;

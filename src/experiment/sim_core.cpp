@@ -71,10 +71,52 @@ double robust_combine_receive(const CombineSpec& combine, std::uint32_t u,
   return stats::summarize(means).median;
 }
 
-template <typename Pop>
-SimulationCore<Pop>::SimulationCore(const SimConfig& config, Rng rng,
-                                    Pop population)
-    : config_(config), rng_(rng), population_(std::move(population)) {
+overlay::Graph build_graph(const TopologyConfig& topology,
+                           std::uint32_t nodes, Rng& rng) {
+  switch (topology.kind) {
+    case TopologyKind::kComplete:
+    case TopologyKind::kNewscast:
+      return {};
+    case TopologyKind::kRandomKOut:
+      return overlay::random_k_out(nodes, topology.degree, rng);
+    case TopologyKind::kRingLattice:
+      return overlay::ring_lattice(nodes, topology.degree);
+    case TopologyKind::kWattsStrogatz:
+      return overlay::watts_strogatz(nodes, topology.degree, topology.beta,
+                                     rng);
+    case TopologyKind::kBarabasiAlbert:
+      return overlay::barabasi_albert(nodes, topology.degree / 2, rng);
+  }
+  return {};
+}
+
+Overlay build_overlay(const TopologyConfig& topology, std::uint32_t nodes,
+                      Rng& rng) {
+  Overlay out;
+  out.graph = build_graph(topology, nodes, rng);
+  if (topology.kind == TopologyKind::kNewscast) {
+    out.newscast =
+        std::make_unique<membership::NewscastNetwork>(topology.cache_size);
+    out.newscast->bootstrap_random(nodes, 0, rng);
+  }
+  return out;
+}
+
+SamplerVariant make_sampler(const Overlay& built,
+                            const overlay::Population& population) {
+  if (built.newscast) return membership::NewscastPeerSampler(*built.newscast);
+  if (built.graph.node_count() > 0) {
+    return overlay::GraphPeerSampler(built.graph);
+  }
+  return overlay::CompletePeerSampler(population);
+}
+
+SimulationCore::SimulationCore(const SimConfig& config, Rng rng)
+    : config_(config),
+      rng_(rng),
+      population_(config.nodes),
+      overlay_(build_overlay(config.topology, config.nodes, rng_)),
+      sampler_(make_sampler(overlay_, population_)) {
   GOSSIP_REQUIRE(config.nodes >= 2, "simulation needs at least two nodes");
   GOSSIP_REQUIRE(config.instances >= 1, "need at least one instance");
   estimates_.assign(static_cast<std::size_t>(config.nodes) *
@@ -105,38 +147,9 @@ SimulationCore<Pop>::SimulationCore(const SimConfig& config, Rng rng,
       byz_[u] = config.adversary.is_byzantine(u) ? 1 : 0;
     }
   }
-  build_topology();
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::build_topology() {
-  const auto& topo = config_.topology;
-  switch (topo.kind) {
-    case TopologyKind::kComplete:
-      break;  // sampled straight off the live set
-    case TopologyKind::kRandomKOut:
-      graph_ = overlay::random_k_out(config_.nodes, topo.degree, rng_);
-      break;
-    case TopologyKind::kRingLattice:
-      graph_ = overlay::ring_lattice(config_.nodes, topo.degree);
-      break;
-    case TopologyKind::kWattsStrogatz:
-      graph_ = overlay::watts_strogatz(config_.nodes, topo.degree, topo.beta,
-                                       rng_);
-      break;
-    case TopologyKind::kBarabasiAlbert:
-      graph_ = overlay::barabasi_albert(config_.nodes, topo.degree / 2, rng_);
-      break;
-    case TopologyKind::kNewscast:
-      newscast_ =
-          std::make_unique<membership::NewscastNetwork>(topo.cache_size);
-      newscast_->bootstrap_random(config_.nodes, 0, rng_);
-      break;
-  }
-}
-
-template <typename Pop>
-void SimulationCore<Pop>::init_scalar(
+void SimulationCore::init_scalar(
     const std::function<double(NodeId)>& value_of) {
   GOSSIP_REQUIRE(config_.instances == 1,
                  "scalar initialization needs instances == 1");
@@ -147,16 +160,14 @@ void SimulationCore<Pop>::init_scalar(
   initialized_ = true;
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::init_peak(double peak, std::uint32_t peak_holder) {
+void SimulationCore::init_peak(double peak, std::uint32_t peak_holder) {
   GOSSIP_REQUIRE(peak_holder < config_.nodes, "peak holder out of range");
   init_scalar([peak, peak_holder](NodeId id) {
     return id.value() == peak_holder ? peak : 0.0;
   });
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::init_count_leaders() {
+void SimulationCore::init_count_leaders() {
   GOSSIP_REQUIRE(!ran_, "cannot re-initialize a finished run");
   GOSSIP_REQUIRE(config_.update == core::UpdateKind::kAverage,
                  "COUNT is built on averaging (§5)");
@@ -174,20 +185,14 @@ void SimulationCore<Pop>::init_count_leaders() {
   initialized_ = true;
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::apply_failures(const failure::CycleEvent& event,
-                                         std::uint64_t now) {
-  // Over-killing plans (a wave over an already shrunken population, a
-  // crash rate above the live count) are clamped so at least one node
-  // survives: targeted range kills spend the budget first, then the
-  // uniform kills take what remains.
-  const std::uint32_t live0 = population_.live_count();
-  std::uint32_t budget = live0 > 0 ? live0 - 1 : 0;
-  if (event.kill_hi > event.kill_lo) {
-    budget -= kill_range(event.kill_lo, event.kill_hi, budget);
-  }
-  const std::uint32_t kills = std::min(event.kills, budget);
-  if (kills > 0) kill_uniform(kills);
+void SimulationCore::apply_failures(const failure::CycleEvent& event,
+                                    std::uint64_t now) {
+  failure::apply_kills(
+      event, population_.live_count(),
+      [this](std::uint32_t lo, std::uint32_t hi, std::uint32_t max_kills) {
+        return kill_range(lo, hi, max_kills);
+      },
+      [this](std::uint32_t kills) { kill_uniform(kills); });
   if (event.joins == 0) return;
   GOSSIP_REQUIRE(config_.topology.kind == TopologyKind::kNewscast ||
                      config_.topology.kind == TopologyKind::kComplete,
@@ -198,7 +203,7 @@ void SimulationCore<Pop>::apply_failures(const failure::CycleEvent& event,
                      static_cast<std::size_t>(event.joins) *
                          config_.instances);
   participant_.reserve(participant_.size() + event.joins);
-  if (newscast_) newscast_->reserve_joins(event.joins);
+  if (overlay_.newscast) overlay_.newscast->reserve_joins(event.joins);
   for (std::uint32_t j = 0; j < event.joins; ++j) {
     const NodeId contact = population_.sample_live(rng_);
     const NodeId fresh = population_.add();
@@ -206,12 +211,11 @@ void SimulationCore<Pop>::apply_failures(const failure::CycleEvent& event,
     participant_.push_back(0);  // §4.2: joiners sit out the epoch
     if (!values_.empty()) values_.push_back(0.0);
     byz_.push_back(config_.adversary.is_byzantine(fresh.value()) ? 1 : 0);
-    if (newscast_) newscast_->add_node(fresh, contact, now);
+    if (overlay_.newscast) overlay_.newscast->add_node(fresh, contact, now);
   }
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::pin_injected_values() {
+void SimulationCore::pin_injected_values() {
   // value_inject adversaries hold the outlier forever: their slot is set
   // once and receive() never overwrites it.
   if (config_.adversary.behavior != AdversarySpec::Behavior::kValueInject) {
@@ -222,8 +226,7 @@ void SimulationCore<Pop>::pin_injected_values() {
   }
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::apply_restart() {
+void SimulationCore::apply_restart() {
   // §4.2 epoch boundary: every node re-seeds from its local value —
   // the *current* one when drift maintains values_, the run-start
   // snapshot otherwise (joiners restart from their join-time default of
@@ -247,8 +250,7 @@ void SimulationCore<Pop>::apply_restart() {
   flush_combine_windows();
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::flush_combine_windows() {
+void SimulationCore::flush_combine_windows() {
   // Re-initialization boundary (restart or pipelined epoch roll): reports
   // received before the boundary summarize dead-epoch estimates; leaving
   // them in the robust-combine rings would bias the first post-boundary
@@ -260,8 +262,7 @@ void SimulationCore<Pop>::flush_combine_windows() {
   std::fill(wpos_.begin(), wpos_.end(), 0);
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::size_combine_windows() {
+void SimulationCore::size_combine_windows() {
   if (!general_ || !config_.combine.robust()) return;
   const std::uint32_t total = population_.total();
   window_.resize(static_cast<std::size_t>(total) * config_.combine.window,
@@ -270,9 +271,8 @@ void SimulationCore<Pop>::size_combine_windows() {
   wpos_.resize(total, 0);
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::drift_range(std::uint32_t cycle, std::uint32_t lo,
-                                      std::uint32_t hi) {
+void SimulationCore::drift_range(std::uint32_t cycle, std::uint32_t lo,
+                                 std::uint32_t hi) {
   for (std::uint32_t u = lo; u < hi; ++u) {
     if (!population_.alive_unchecked(NodeId(u)) || byz_[u]) continue;
     const double d = drift_delta(config_.drift, config_.stream_seed, cycle, u);
@@ -282,8 +282,7 @@ void SimulationCore<Pop>::drift_range(std::uint32_t cycle, std::uint32_t lo,
   }
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::service_cycle(std::uint32_t cycle) {
+void SimulationCore::service_cycle(std::uint32_t cycle) {
   // Epoch pipelining: on the boundary, publish the epoch's converged
   // report (the mean the statistics layer just recorded) and re-seed the
   // next epoch from the current local values (values_ is always kept
@@ -303,8 +302,7 @@ void SimulationCore<Pop>::service_cycle(std::uint32_t cycle) {
   }
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::record_snapshot(
+void SimulationCore::record_snapshot(
     std::vector<stats::RunningStats> lanes, double value_mean) {
   cycle_stats_.push_back(lanes[0]);
   if (!values_.empty()) {
@@ -314,8 +312,7 @@ void SimulationCore<Pop>::record_snapshot(
   instance_stats_.push_back(std::move(lanes));
 }
 
-template <typename Pop>
-void SimulationCore<Pop>::run_cycles(const failure::FailurePlan& plan) {
+void SimulationCore::run_cycles(const failure::FailurePlan& plan) {
   GOSSIP_REQUIRE(initialized_, "initialize values before running");
   GOSSIP_REQUIRE(!ran_, "run() may only be called once");
   ran_ = true;
@@ -337,8 +334,7 @@ void SimulationCore<Pop>::run_cycles(const failure::FailurePlan& plan) {
   }
 }
 
-template <typename Pop>
-std::vector<NodeId> SimulationCore<Pop>::participants() const {
+std::vector<NodeId> SimulationCore::participants() const {
   std::vector<NodeId> out;
   out.reserve(population_.live_count());
   for (NodeId u : population_.live()) {
@@ -347,9 +343,7 @@ std::vector<NodeId> SimulationCore<Pop>::participants() const {
   return out;
 }
 
-template <typename Pop>
-double SimulationCore<Pop>::estimate(NodeId node,
-                                     std::uint32_t instance) const {
+double SimulationCore::estimate(NodeId node, std::uint32_t instance) const {
   GOSSIP_REQUIRE(node.is_valid() && node.value() < population_.total(),
                  "estimate() node out of range");
   GOSSIP_REQUIRE(instance < config_.instances,
@@ -359,15 +353,13 @@ double SimulationCore<Pop>::estimate(NodeId node,
                     instance];
 }
 
-template <typename Pop>
-std::vector<double> SimulationCore<Pop>::scalar_estimates() const {
+std::vector<double> SimulationCore::scalar_estimates() const {
   std::vector<double> out;
   for (NodeId u : participants()) out.push_back(estimate(u, 0));
   return out;
 }
 
-template <typename Pop>
-std::vector<double> SimulationCore<Pop>::size_estimates() const {
+std::vector<double> SimulationCore::size_estimates() const {
   const std::uint32_t t = config_.instances;
   std::vector<double> out;
   std::vector<double> scratch(t);
@@ -382,14 +374,10 @@ std::vector<double> SimulationCore<Pop>::size_estimates() const {
   return out;
 }
 
-template <typename Pop>
-stats::ConvergenceTracker SimulationCore<Pop>::tracker() const {
+stats::ConvergenceTracker SimulationCore::tracker() const {
   stats::ConvergenceTracker t;
   for (const auto& rs : cycle_stats_) t.record(rs.variance());
   return t;
 }
-
-template class SimulationCore<overlay::Population>;
-template class SimulationCore<overlay::ShardedPopulation>;
 
 }  // namespace gossip::experiment

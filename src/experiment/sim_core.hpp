@@ -3,22 +3,26 @@
 // protocol: one push–pull exchange in which both peers install
 // UPDATE(s_p, s_q) (paper fig. 1), plus the node state around it. This
 // header holds that protocol once — the configuration vocabulary, the
-// per-node state, initialization, joins, §4.2 restarts, drift, the
-// service epoch roll, the pairwise exchange kernel, the run-loop order
-// and every result accessor — and each engine supplies only what truly
-// differs between the two:
+// overlay and its GETNEIGHBOR() sampler, the one live set
+// (overlay::Population), the per-node state, initialization, joins,
+// §4.2 restarts, drift, the service epoch roll, the pairwise exchange
+// kernel, the run-loop order and every result accessor — and each
+// engine supplies only what truly differs between the two:
 //
 //   * pairing — shuffled sequential sampling vs propose/match;
-//   * kill batching — draw-kill-draw vs sample_distinct + kill_many;
+//   * kill batching — draw-kill-draw and swap-remove vs
+//     sample_distinct + Population::kill_many's stable compaction;
 //   * the statistics reduction — one Welford stream vs the fixed
 //     64-segment merge_tree (their float results differ; both pinned);
-//   * plumbing — the intra-rep engine's pool and phase profile.
+//   * plumbing — the intra-rep engine's id-space shards, pool and phase
+//     profile.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -31,8 +35,8 @@
 #include "failure/failure_plan.hpp"
 #include "membership/newscast.hpp"
 #include "overlay/graph.hpp"
+#include "overlay/peer_sampler.hpp"
 #include "overlay/population.hpp"
-#include "overlay/sharded_population.hpp"
 #include "stats/convergence.hpp"
 #include "stats/running_stats.hpp"
 
@@ -73,6 +77,40 @@ struct TopologyConfig {
 
   bool operator==(const TopologyConfig&) const = default;
 };
+
+/// The overlay a TopologyConfig names over ids [0, nodes): a static graph,
+/// or a NEWSCAST network bootstrapped at time 0 (§4.2). The complete
+/// overlay has neither — it samples the live set.
+struct Overlay {
+  overlay::Graph graph;                                   ///< static kinds
+  std::unique_ptr<membership::NewscastNetwork> newscast;  ///< kNewscast
+};
+
+/// The static graph `topology` names over ids [0, nodes), randomized
+/// constructions drawing from `rng`; empty for the complete and NEWSCAST
+/// overlays, which have no fixed edges. The live runtime takes only this
+/// part: its NEWSCAST views live in the executor and travel over the wire.
+overlay::Graph build_graph(const TopologyConfig& topology,
+                           std::uint32_t nodes, Rng& rng);
+
+/// The simulators' overlay: build_graph, then for NEWSCAST the bootstrap
+/// of every cache from `rng`.
+Overlay build_overlay(const TopologyConfig& topology, std::uint32_t nodes,
+                      Rng& rng);
+
+/// The concrete GETNEIGHBOR() strategies a simulation can run over. The
+/// drivers visit the variant once per cycle or round (not per node), so
+/// each aggregation loop is stamped out per sampler type and the RNG +
+/// table lookups inline — there is no virtual call left on the hot path.
+using SamplerVariant =
+    std::variant<overlay::GraphPeerSampler, overlay::CompletePeerSampler,
+                 membership::NewscastPeerSampler>;
+
+/// GETNEIGHBOR() over `built`: the NEWSCAST view, the static graph's
+/// out-neighbors, or — for the complete overlay, which has neither —
+/// uniform over the live `population`. Both must outlive the sampler.
+SamplerVariant make_sampler(const Overlay& built,
+                            const overlay::Population& population);
 
 /// Network partition with heal: for cycles [start, start + duration) the
 /// population splits into `components` isolated components (node u belongs
@@ -277,12 +315,9 @@ double robust_combine_receive(const CombineSpec& combine, std::uint32_t u,
                               std::vector<double>& means);
 
 /// The state and mechanics both cycle engines share (see the file
-/// comment). An engine derives from SimulationCore<its population type>,
-/// calls run_cycles() from its run(), and implements the private hooks;
-/// the hooks are called once per cycle, never per exchange. Explicitly
-/// instantiated for overlay::Population (CycleSimulation) and
-/// overlay::ShardedPopulation (IntraRepSimulation) in sim_core.cpp.
-template <typename Pop>
+/// comment). An engine derives from SimulationCore, calls run_cycles()
+/// from its run(), and implements the private hooks; the hooks are called
+/// once per cycle, never per exchange.
 class SimulationCore {
 public:
   virtual ~SimulationCore() = default;
@@ -301,7 +336,9 @@ public:
 
   // ---- results ---------------------------------------------------------
 
-  [[nodiscard]] const Pop& population() const { return population_; }
+  [[nodiscard]] const overlay::Population& population() const {
+    return population_;
+  }
 
   /// Participating live nodes (the ones whose estimates the paper plots),
   /// live-list order. Byzantine nodes that corrupt the aggregate are left
@@ -373,10 +410,10 @@ public:
   [[nodiscard]] const SnapshotStore& snapshots() const { return store_; }
 
 protected:
-  /// Validates `config`, sizes the per-node state, hashes the adversary
-  /// membership and builds the topology (static graph or NEWSCAST
-  /// bootstrap) from `rng`.
-  SimulationCore(const SimConfig& config, Rng rng, Pop population);
+  /// Builds the overlay (static graph or NEWSCAST bootstrap) from `rng`
+  /// and its sampler, validates `config`, sizes the per-node state and
+  /// hashes the adversary membership.
+  SimulationCore(const SimConfig& config, Rng rng);
 
   /// The run loop, once per simulation: σ²_0, then per cycle the plan's
   /// kills and joins (crashes land *before* the cycle, the paper's worst
@@ -397,8 +434,10 @@ protected:
   /// updates q only. Without aggregation-level adversaries or robust
   /// combine this is the paper's lane loop; otherwise (instances == 1)
   /// both reports are captured first and each side combines what it
-  /// received. Defined here so both engines' hot loops inline it.
-  void exchange(std::uint32_t p, std::uint32_t q,
+  /// received. Defined here and forced inline so both engines' hot loops
+  /// inline it (GCC's size heuristics otherwise leave the serial loop an
+  /// out-of-line call per exchange).
+  [[gnu::always_inline]] void exchange(std::uint32_t p, std::uint32_t q,
                 failure::ExchangeOutcome outcome, CombineScratch& scratch) {
     if (outcome == failure::ExchangeOutcome::kLinkDown ||
         outcome == failure::ExchangeOutcome::kRequestLost) {
@@ -470,13 +509,13 @@ protected:
 
   SimConfig config_;
   Rng rng_;  // boundary randomness: topology build, init, failures
-  Pop population_;
+  overlay::Population population_;
   std::vector<double> estimates_;  // flat [node * instances + i]
   std::vector<char> participant_;  // per node
   std::vector<char> byz_;          // adversary membership per node
   std::vector<double> values_;     // underlying local values v_u
-  overlay::Graph graph_;           // static topologies
-  std::unique_ptr<membership::NewscastNetwork> newscast_;
+  Overlay overlay_;
+  SamplerVariant sampler_;  // GETNEIGHBOR() over overlay_ / population_
 
 private:
   /// Range kill of live ids in [lo, hi), at most `max_kills`; returns
@@ -492,7 +531,6 @@ private:
   /// One record_snapshot over the counted live nodes.
   virtual void record_stats() = 0;
 
-  void build_topology();
   void apply_failures(const failure::CycleEvent& event, std::uint64_t now);
   void pin_injected_values();
   void apply_restart();
@@ -545,8 +583,5 @@ private:
   bool initialized_ = false;
   bool ran_ = false;
 };
-
-extern template class SimulationCore<overlay::Population>;
-extern template class SimulationCore<overlay::ShardedPopulation>;
 
 }  // namespace gossip::experiment

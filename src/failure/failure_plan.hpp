@@ -15,7 +15,8 @@ namespace gossip::failure {
 /// id-range kill (correlated block-scoped waves: every live node with
 /// kill_lo <= id < kill_hi crashes) and an epoch-restart flag (every
 /// live node re-seeds from its initial value and joins the epoch).
-/// Drivers clamp the total kill volume so at least one node survives.
+/// Drivers apply the kills through apply_kills, which clamps the total
+/// kill volume so at least one node survives.
 struct CycleEvent {
   std::uint32_t kills = 0;    ///< uniformly drawn victims
   std::uint32_t joins = 0;    ///< brand-new identities
@@ -23,6 +24,25 @@ struct CycleEvent {
   std::uint32_t kill_hi = 0;  ///< empty when kill_hi <= kill_lo
   bool restart = false;       ///< epoch boundary: re-seed and re-admit
 };
+
+/// Applies `event`'s kills to a population of `live` nodes and keeps at
+/// least one alive. Over-killing plans (a wave over an already shrunken
+/// population, a crash rate above the live count) are clamped: the
+/// targeted range kill spends a budget of live - 1 first —
+/// `kill_range(lo, hi, max_kills)` kills at most max_kills live ids in
+/// [lo, hi) and returns how many it killed — and the uniform kills take
+/// what remains through `kill_uniform(count)`, called only with
+/// count >= 1. Every driver routes its kills through here.
+template <typename KillRange, typename KillUniform>
+void apply_kills(const CycleEvent& event, std::uint32_t live,
+                 KillRange&& kill_range, KillUniform&& kill_uniform) {
+  std::uint32_t budget = live > 0 ? live - 1 : 0;
+  if (event.kill_hi > event.kill_lo) {
+    budget -= kill_range(event.kill_lo, event.kill_hi, budget);
+  }
+  const std::uint32_t kills = event.kills < budget ? event.kills : budget;
+  if (kills > 0) kill_uniform(kills);
+}
 
 class FailurePlan {
 public:

@@ -221,7 +221,7 @@ public:
   explicit NewscastPeerSampler(const NewscastNetwork& network)
       : network_(&network) {}
 
-  NodeId sample(NodeId from, Rng& rng) {
+  NodeId sample(NodeId from, Rng& rng) const {
     return network_->sample_view(from, rng);
   }
 

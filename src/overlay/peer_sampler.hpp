@@ -6,10 +6,13 @@
 // The samplers are deliberately *not* a virtual hierarchy: the sample()
 // call happens once per node per cycle — the single hottest call site of
 // every simulation — so the drivers dispatch over the concrete types once
-// per cycle (std::variant in cycle_sim / push_sum) and the RNG plus table
-// lookups inline into the aggregation loop. Implementations may return a
-// crashed node — that is the point: the caller discovers the crash
-// through a timed-out exchange, exactly as in §4.2.
+// per cycle or round (experiment::SamplerVariant, built by make_sampler
+// in experiment/sim_core for every simulator) and the RNG plus table
+// lookups inline into the aggregation loop. sample() only reads, so
+// concurrent callers may share one sampler (the intra-rep engine's
+// parallel propose phase). Implementations may return a crashed node —
+// that is the point: the caller discovers the crash through a timed-out
+// exchange, exactly as in §4.2.
 #pragma once
 
 #include "common/node_id.hpp"
@@ -25,7 +28,7 @@ public:
   /// The graph must outlive the sampler.
   explicit GraphPeerSampler(const Graph& graph) : graph_(&graph) {}
 
-  NodeId sample(NodeId from, Rng& rng) {
+  NodeId sample(NodeId from, Rng& rng) const {
     const auto ns = graph_->neighbors(from);
     if (ns.empty()) return NodeId::invalid();
     return ns[rng.below(ns.size())];
@@ -44,7 +47,7 @@ public:
   explicit CompletePeerSampler(const Population& population)
       : population_(&population) {}
 
-  NodeId sample(NodeId from, Rng& rng) {
+  NodeId sample(NodeId from, Rng& rng) const {
     return population_->sample_live_other(from, rng);
   }
 

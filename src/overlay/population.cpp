@@ -1,5 +1,7 @@
 #include "overlay/population.hpp"
 
+#include <utility>
+
 namespace gossip::overlay {
 
 Population::Population(std::uint32_t initial) {
@@ -40,6 +42,67 @@ std::uint32_t Population::kill_range(std::uint32_t lo, std::uint32_t hi,
     ++killed;
   }
   return killed;
+}
+
+void Population::kill_many(std::span<const NodeId> victims, unsigned chunks,
+                           const ParallelFor* par) {
+  if (victims.empty()) return;
+  GOSSIP_REQUIRE(chunks >= 1, "kill_many() needs at least one chunk");
+  GOSSIP_REQUIRE(victims.size() <= live_.size(),
+                 "kill_many() exceeds the live population");
+  // Mark (serial, O(victims)). A repeated victim trips the already-dead
+  // requirement, so distinctness comes for free.
+  for (NodeId v : victims) {
+    GOSSIP_REQUIRE(v.is_valid() && v.value() < total(),
+                   "kill_many() id out of range");
+    GOSSIP_REQUIRE(position_[v.value()] != kDead,
+                   "kill_many() on an already dead node");
+    position_[v.value()] = kDead;
+  }
+
+  const std::size_t n = live_.size();
+  const auto bounds = [n, chunks](std::size_t c) {
+    return std::pair<std::size_t, std::size_t>{n * c / chunks,
+                                               n * (c + 1) / chunks};
+  };
+  const auto run = [&](const std::function<void(std::size_t)>& job) {
+    if (par != nullptr) {
+      (*par)(chunks, job);
+    } else {
+      for (std::size_t c = 0; c < chunks; ++c) job(c);
+    }
+  };
+
+  // Count the survivors of each chunk of the live list.
+  chunk_offsets_.assign(chunks + 1, 0);
+  run([&](std::size_t c) {
+    const auto [lo, hi] = bounds(c);
+    std::size_t kept = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      kept += position_[live_[i].value()] != kDead;
+    }
+    chunk_offsets_[c + 1] = kept;
+  });
+  for (unsigned c = 0; c < chunks; ++c) {
+    chunk_offsets_[c + 1] += chunk_offsets_[c];
+  }
+
+  // Stable scatter of the survivors and position rebuild. Writes are
+  // disjoint by construction: chunk c owns output slots
+  // [chunk_offsets_[c], chunk_offsets_[c + 1]).
+  compact_.resize(chunk_offsets_[chunks]);
+  run([&](std::size_t c) {
+    const auto [lo, hi] = bounds(c);
+    std::size_t out = chunk_offsets_[c];
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId id = live_[i];
+      if (position_[id.value()] == kDead) continue;
+      compact_[out] = id;
+      position_[id.value()] = static_cast<std::uint32_t>(out);
+      ++out;
+    }
+  });
+  live_.swap(compact_);
 }
 
 NodeId Population::sample_live(Rng& rng) const {

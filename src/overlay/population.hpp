@@ -5,9 +5,18 @@
 // arrays indexed by NodeId that only ever grow. This is what the churn
 // experiments (fig. 6b) need — every replacement node is a brand-new
 // identity that must not inherit the estimate of the node it replaces.
+//
+// Both cycle engines run on this one live set. The serial driver kills
+// one node at a time (kill's swap-remove); the intra-rep engine retires
+// each cycle's victims in one batch (kill_many's stable compaction,
+// whose count and scatter passes fan out through the executor it is
+// given). Every mutation is issued from the driver thread between the
+// engines' parallel phases, so the class takes no locks.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/node_id.hpp"
@@ -15,6 +24,13 @@
 #include "common/rng.hpp"
 
 namespace gossip::overlay {
+
+/// Minimal executor seam: run job(0) … job(count-1), possibly in
+/// parallel. Kept as a std::function so the overlay layer does not
+/// depend on the experiment engine's thread pool.
+using ParallelFor =
+    std::function<void(std::size_t count,
+                       const std::function<void(std::size_t)>& job)>;
 
 class Population {
 public:
@@ -33,6 +49,15 @@ public:
   /// nodes die, the budget keeps the caller's survivor guarantee.
   std::uint32_t kill_range(std::uint32_t lo, std::uint32_t hi,
                            std::uint32_t max_kills);
+
+  /// Retires a whole batch of distinct live victims at once via a stable
+  /// compaction: survivors keep their relative live-list order (kill()
+  /// swap-removes instead), so the resulting state is a pure function of
+  /// (previous state, victim set). The survivor count and scatter passes
+  /// split the live list into `chunks` slices run through `par` (serially
+  /// when null); the result is the same for any chunk count and schedule.
+  void kill_many(std::span<const NodeId> victims, unsigned chunks = 1,
+                 const ParallelFor* par = nullptr);
 
   [[nodiscard]] bool alive(NodeId id) const {
     GOSSIP_REQUIRE(id.is_valid() && id.value() < total(),
@@ -56,7 +81,7 @@ public:
     return static_cast<std::uint32_t>(live_.size());
   }
 
-  /// Live ids in unspecified order (changes on kill).
+  /// Live ids in unspecified order (changes on kill/kill_many).
   [[nodiscard]] const std::vector<NodeId>& live() const { return live_; }
 
   /// Uniform random live node. Requires at least one live node.
@@ -81,6 +106,8 @@ private:
 
   std::vector<NodeId> live_;            // compact list of live ids
   std::vector<std::uint32_t> position_;  // id -> index in live_, or kDead
+  std::vector<NodeId> compact_;          // kill_many scatter target
+  std::vector<std::size_t> chunk_offsets_;  // kill_many survivor prefix sums
 };
 
 }  // namespace gossip::overlay

@@ -470,30 +470,34 @@ void Executor::apply_failures(std::uint32_t cycle,
   GOSSIP_REQUIRE(!event.restart,
                  "epoch restarts are not supported on the runtime path");
 
-  if (event.kill_hi > event.kill_lo) {
-    for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
-      if (!alive_[slot]) continue;
-      const std::uint32_t id = global_of(static_cast<std::uint32_t>(slot));
-      if (id >= event.kill_lo && id < event.kill_hi) {
-        alive_[slot] = 0;
-        --live;
-      }
-    }
-  }
-
-  const std::uint32_t kills =
-      std::min(event.kills, live > 0 ? live - 1 : 0);
-  if (kills > 0) {
-    std::vector<std::uint32_t> candidates;
-    candidates.reserve(live);
-    for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
-      if (alive_[slot]) candidates.push_back(static_cast<std::uint32_t>(slot));
-    }
-    for (const std::uint64_t i :
-         driver_rng_.sample_distinct(candidates.size(), kills)) {
-      alive_[candidates[i]] = 0;
-    }
-  }
+  failure::apply_kills(
+      event, live,
+      [this](std::uint32_t lo, std::uint32_t hi, std::uint32_t max_kills) {
+        // Slots ascend with global ids, so this is the simulators'
+        // ascending-id range kill.
+        std::uint32_t killed = 0;
+        for (std::size_t slot = 0;
+             slot < alive_.size() && killed < max_kills; ++slot) {
+          const std::uint32_t id = global_of(static_cast<std::uint32_t>(slot));
+          if (alive_[slot] && id >= lo && id < hi) {
+            alive_[slot] = 0;
+            ++killed;
+          }
+        }
+        return killed;
+      },
+      [this](std::uint32_t kills) {
+        std::vector<std::uint32_t> candidates;
+        for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
+          if (alive_[slot]) {
+            candidates.push_back(static_cast<std::uint32_t>(slot));
+          }
+        }
+        for (const std::uint64_t i :
+             driver_rng_.sample_distinct(candidates.size(), kills)) {
+          alive_[candidates[i]] = 0;
+        }
+      });
 
   for (std::uint32_t j = 0; j < event.joins; ++j) {
     add_node(0.0, /*participant=*/false, /*bootstrap_ts=*/cycle);

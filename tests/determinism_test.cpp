@@ -31,7 +31,6 @@
 #include "experiment/spec.hpp"
 #include "failure/failure_plan.hpp"
 #include "overlay/population.hpp"
-#include "overlay/sharded_population.hpp"
 
 namespace gossip::experiment {
 namespace {
@@ -180,60 +179,18 @@ TEST(ParallelDeterminism, CountRepsIdenticalAcrossThreadCounts) {
   }
 }
 
-// ------------------------------------- sharded population vs dense seed
+// ------------------------------------------- batched population kills
 //
-// The sharded live list must be *observationally identical* to the dense
-// seed implementation: an op trace of kills, joins and samples replayed
-// against both, with lock-stepped rng streams, yields bit-identical
-// returned ids and live orderings — for any shard count.
+// The intra-rep engine retires each cycle's crashes through
+// Population::kill_many; its output is shard-invariant only if the
+// compaction's result depends on the victim set alone.
 
-TEST(ShardedPopulation, MatchesDenseUnderRecordedOpTrace) {
-  for (unsigned shards : {1u, 2u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    overlay::Population dense(40);
-    overlay::ShardedPopulation sharded(40, shards);
-    Rng trace(0xf00d);       // decides which op comes next
-    Rng dense_rng(0x1111);   // lock-stepped draw streams
-    Rng sharded_rng(0x1111);
-    for (int op = 0; op < 4000; ++op) {
-      const std::uint64_t what = trace.below(10);
-      if (what < 3 && dense.live_count() > 1) {  // kill a random live node
-        const NodeId va = dense.sample_live(dense_rng);
-        const NodeId vb = sharded.sample_live(sharded_rng);
-        ASSERT_EQ(va, vb) << "op " << op;
-        dense.kill(va);
-        sharded.kill(vb);
-      } else if (what < 5) {  // join
-        ASSERT_EQ(dense.add(), sharded.add()) << "op " << op;
-      } else if (what < 8) {  // sample_live
-        ASSERT_EQ(dense.sample_live(dense_rng),
-                  sharded.sample_live(sharded_rng))
-            << "op " << op;
-      } else {  // sample_live_other from a random id (live or dead)
-        const NodeId self(
-            static_cast<std::uint32_t>(trace.below(dense.total())));
-        ASSERT_EQ(dense.sample_live_other(self, dense_rng),
-                  sharded.sample_live_other(self, sharded_rng))
-            << "op " << op;
-      }
-      ASSERT_EQ(dense.live_count(), sharded.live_count());
-      ASSERT_EQ(dense.total(), sharded.total());
-    }
-    // Final structural equality: same live list in the same order, same
-    // alive bits.
-    EXPECT_EQ(dense.live(), sharded.live());
-    for (std::uint32_t u = 0; u < dense.total(); ++u) {
-      EXPECT_EQ(dense.alive(NodeId(u)), sharded.alive(NodeId(u)));
-    }
-  }
-}
-
-TEST(ShardedPopulation, KillManyIsStableAndShardCountInvariant) {
+TEST(Population, KillManyIsStableAndChunkCountInvariant) {
   // kill_many's stable compaction: survivors keep their relative order,
-  // and the result is identical for any shard count and for serial vs
-  // pooled execution of the phases.
-  const auto build = [](unsigned shards) {
-    overlay::ShardedPopulation pop(30, shards);
+  // and the result is identical for any chunk count and for serial vs
+  // pooled execution of the passes.
+  const auto build = [] {
+    overlay::Population pop(30);
     pop.kill(NodeId(7));  // pre-churn so live order isn't just 0..29
     pop.kill(NodeId(2));
     (void)pop.add();
@@ -242,9 +199,9 @@ TEST(ShardedPopulation, KillManyIsStableAndShardCountInvariant) {
   const std::vector<NodeId> victims{NodeId(0), NodeId(29), NodeId(15),
                                     NodeId(30), NodeId(4)};
 
-  auto reference = build(1);
+  auto reference = build();
   const std::vector<NodeId> before = reference.live();
-  reference.kill_many(victims, nullptr);
+  reference.kill_many(victims);
   // Stability: the reference result is exactly `before` minus victims.
   std::vector<NodeId> expected;
   for (NodeId id : before) {
@@ -260,10 +217,10 @@ TEST(ShardedPopulation, KillManyIsStableAndShardCountInvariant) {
               const std::function<void(std::size_t)>& job) {
         pool.run(count, job);
       };
-  for (unsigned shards : {2u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    auto pop = build(shards);
-    pop.kill_many(victims, &par);
+  for (unsigned chunks : {2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "chunks=" << chunks);
+    auto pop = build();
+    pop.kill_many(victims, chunks, &par);
     EXPECT_EQ(pop.live(), reference.live());
     for (std::uint32_t u = 0; u < pop.total(); ++u) {
       EXPECT_EQ(pop.alive(NodeId(u)), reference.alive(NodeId(u)));

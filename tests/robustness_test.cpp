@@ -12,6 +12,7 @@
 // and the order-of-magnitude gaps, not exact trajectories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,10 +20,11 @@
 
 #include "experiment/cycle_sim.hpp"
 #include "experiment/engine.hpp"
+#include "experiment/intra_rep.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "experiment/spec.hpp"
 #include "failure/failure_plan.hpp"
 #include "overlay/population.hpp"
-#include "overlay/sharded_population.hpp"
 
 namespace gossip::experiment {
 namespace {
@@ -62,18 +64,52 @@ TEST(KillRange, KillsAscendingIdsWithinBudget) {
   EXPECT_EQ(pop.kill_range(2, 6, 10), 0u);   // already dead
 }
 
-TEST(KillRange, ShardedMatchesSerialVictimSet) {
-  for (unsigned shards : {1u, 2u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    overlay::Population serial(32);
-    overlay::ShardedPopulation sharded(32, shards);
-    serial.kill(NodeId(9));
-    sharded.kill(NodeId(9));
-    EXPECT_EQ(serial.kill_range(4, 20, 12),
-              sharded.kill_range(4, 20, 12, nullptr));
-    ASSERT_EQ(serial.total(), sharded.total());
-    for (std::uint32_t id = 0; id < serial.total(); ++id) {
-      EXPECT_EQ(serial.alive(NodeId(id)), sharded.alive(NodeId(id))) << id;
+/// Kills id 9, then the id block [4, 20) — a block that already holds a
+/// dead id — then every id, which the keep-one-alive budget cuts short.
+class ScriptedRangeKills final : public failure::FailurePlan {
+public:
+  failure::CycleEvent before_cycle(std::uint32_t cycle,
+                                   std::uint32_t) const override {
+    if (cycle == 0) return {.kill_lo = 9, .kill_hi = 10};
+    if (cycle == 1) return {.kill_lo = 4, .kill_hi = 20};
+    return {.kill_lo = 0, .kill_hi = 32};
+  }
+};
+
+TEST(KillRange, IntraRepMatchesSerialVictimSet) {
+  // The serial driver swap-removes each victim; the intra-rep engine
+  // retires the same ascending ids through Population::kill_many's
+  // stable compaction. Live order differs, the victim set must not — for
+  // any shard count, and when the budget stops a block early.
+  const ScriptedRangeKills plan;
+  const auto survivors = [](const auto& sim) {
+    std::vector<NodeId> ids = sim.participants();
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  std::vector<NodeId> after_two_cycles;
+  for (std::uint32_t id = 0; id < 32; ++id) {
+    if (id < 4 || id >= 20) after_two_cycles.emplace_back(id);
+  }
+  ParallelRunner pool(4);
+  for (std::uint32_t cycles : {2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "cycles=" << cycles);
+    const std::vector<NodeId> expected =
+        cycles == 2 ? after_two_cycles : std::vector<NodeId>{NodeId(31)};
+    SimConfig config;
+    config.nodes = 32;
+    config.cycles = cycles;
+    config.topology = TopologyConfig::complete();
+    CycleSimulation serial(config, Rng(3));
+    serial.init_peak(32.0);
+    serial.run(plan);
+    EXPECT_EQ(survivors(serial), expected);
+    for (unsigned shards : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards);
+      IntraRepSimulation intra(config, 3, shards);
+      intra.init_peak(32.0);
+      intra.run(plan, pool);
+      EXPECT_EQ(survivors(intra), expected);
     }
   }
 }
@@ -110,15 +146,21 @@ TEST(OverkillClamp, IntraRepHonorsTheSameGuarantee) {
 TEST(OverkillClamp, CorrelatedWavesBudgetStopsAtLastSurvivor) {
   // 4 waves of ⌊20 · 0.4⌋ = 8 ids would cover the whole network; the
   // third wave hits the budget and leaves exactly one survivor — the
-  // highest id, since waves kill ascending id blocks.
-  ScenarioSpec spec = ScenarioSpec::average_peak("waves", 20, 6)
-                          .with_topology(TopologyConfig::newscast(5))
-                          .with_failure(
-                              FailureSpec::correlated_waves(0, 4, 0.4))
-                          .with_engine(EngineKind::kSerial);
-  Engine engine({EngineKind::kSerial, 1, 1});
-  const RunResult run = engine.run_single(spec, 7);
-  EXPECT_EQ(run.participants, 1u);
+  // highest id, since waves kill ascending id blocks. The live runtime
+  // spends the same budget (one loopback worker, zero loss).
+  for (DriverKind driver : {DriverKind::kCycle, DriverKind::kRuntime}) {
+    SCOPED_TRACE(to_string(driver));
+    ScenarioSpec spec = ScenarioSpec::average_peak("waves", 20, 6)
+                            .with_topology(TopologyConfig::newscast(5))
+                            .with_failure(
+                                FailureSpec::correlated_waves(0, 4, 0.4))
+                            .with_driver(driver)
+                            .with_engine(EngineKind::kSerial);
+    Engine engine({EngineKind::kSerial, 1, 1});
+    const RunResult run = engine.run_single(spec, 7);
+    EXPECT_EQ(run.participants, 1u);
+    EXPECT_EQ(run.per_cycle.back().count(), 1u);
+  }
 }
 
 TEST(CorrelatedWaves, KillExactlyTheScheduledBlocks) {

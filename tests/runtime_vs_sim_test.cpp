@@ -102,6 +102,39 @@ TEST(RuntimeVsSim, VarianceReductionMatchesCycleDriver) {
   EXPECT_GE(f_rt, f_sim - 0.05);  // runtime cannot beat the ideal driver
 }
 
+// Failure plans land identically on both stacks: the runtime spends the
+// simulators' keep-one-alive kill budget, so every kind the runtime
+// accepts without joiners leaves the same live count after every cycle —
+// including a correlated wave the budget cuts short (4 × 25 ids > 64).
+TEST(RuntimeVsSim, LiveCountsAgreeUnderFailurePlans) {
+  const FailureSpec plans[] = {
+      FailureSpec::proportional_crash(0.2),
+      FailureSpec::sudden_death(3, 0.5),
+      FailureSpec::constant_crash(10),
+      FailureSpec::correlated_waves(1, 4, 0.4),
+  };
+  Engine engine;
+  for (const FailureSpec& failure : plans) {
+    SCOPED_TRACE(to_string(failure.kind));
+    ScenarioSpec rt_spec = ScenarioSpec::average_peak("live_counts", 64,
+                                                      kCycles)
+                               .with_topology(TopologyConfig::complete())
+                               .with_failure(failure)
+                               .with_driver(DriverKind::kRuntime)
+                               .with_seed(kSeed);
+    rt_spec.runtime.workers = 1;
+    ScenarioSpec sim_spec = rt_spec;
+    sim_spec.driver = DriverKind::kCycle;
+    const RunResult rt = engine.run_single(rt_spec, kSeed);
+    const RunResult sim = engine.run_single(sim_spec, kSeed);
+    ASSERT_EQ(rt.per_cycle.size(), sim.per_cycle.size());
+    for (std::size_t c = 0; c < sim.per_cycle.size(); ++c) {
+      EXPECT_EQ(rt.per_cycle[c].count(), sim.per_cycle[c].count())
+          << "cycle " << c;
+    }
+  }
+}
+
 // Drift crosses over too: the same engine-invariant drift stream feeds
 // both stacks, so the runtime tracks a moving mean just like the sims.
 TEST(RuntimeVsSim, DriftStreamTracksLikeCycleDriver) {

@@ -25,7 +25,6 @@
 #include "overlay/generators.hpp"
 #include "overlay/peer_sampler.hpp"
 #include "overlay/population.hpp"
-#include "overlay/sharded_population.hpp"
 
 namespace gossip {
 namespace {
@@ -35,7 +34,6 @@ using membership::NewscastPeerSampler;
 using overlay::CompletePeerSampler;
 using overlay::GraphPeerSampler;
 using overlay::Population;
-using overlay::ShardedPopulation;
 
 /// χ² statistic of `counts` against the uniform distribution.
 double chi_square_uniform(const std::vector<std::uint64_t>& counts) {
@@ -201,51 +199,41 @@ TEST(SamplerStats, NewscastFastPathMatchesCacheViewDrawForDraw) {
 
 TEST(SamplerStats, PopulationSampleLiveUniformAfterKills) {
   // sample_live feeds the failure plans and the Complete overlay; check
-  // it stays uniform over the survivors of a heavy kill wave, for both
-  // the dense and the sharded implementation.
-  Population dense(80);
-  ShardedPopulation sharded(80, 4);
+  // it stays uniform over the survivors of a heavy kill wave.
+  Population pop(80);
   Rng pick_victims(0x600d);
-  for (int k = 0; k < 40; ++k) {
-    const NodeId victim = dense.sample_live(pick_victims);
-    dense.kill(victim);
-    sharded.kill(victim);
-  }
-  ASSERT_EQ(dense.live_count(), 40u);
-  ASSERT_EQ(sharded.live_count(), 40u);
+  for (int k = 0; k < 40; ++k) pop.kill(pop.sample_live(pick_victims));
+  ASSERT_EQ(pop.live_count(), 40u);
 
-  const auto gather = [](const auto& pop) {
-    Rng rng(0x7777);
-    std::vector<std::uint64_t> counts(pop.total(), 0);
-    for (std::uint64_t i = 0; i < 160000; ++i) {
-      const NodeId pick = pop.sample_live(rng);
-      ++counts[pick.value()];
-    }
-    return counts;
-  };
-  for (const auto& counts : {gather(dense), gather(sharded)}) {
-    std::vector<std::uint64_t> live_counts;
-    for (std::uint32_t u = 0; u < 80; ++u) {
-      if (dense.alive(NodeId(u))) {
-        live_counts.push_back(counts[u]);
-      } else {
-        EXPECT_EQ(counts[u], 0u);
-      }
-    }
-    ASSERT_EQ(live_counts.size(), 40u);
-    EXPECT_LT(chi_square_uniform(live_counts),
-              chi_square_critical(live_counts.size() - 1));
+  Rng rng(0x7777);
+  std::vector<std::uint64_t> counts(pop.total(), 0);
+  for (std::uint64_t i = 0; i < 160000; ++i) {
+    const NodeId pick = pop.sample_live(rng);
+    ++counts[pick.value()];
   }
+  std::vector<std::uint64_t> live_counts;
+  for (std::uint32_t u = 0; u < 80; ++u) {
+    if (pop.alive(NodeId(u))) {
+      live_counts.push_back(counts[u]);
+    } else {
+      EXPECT_EQ(counts[u], 0u);
+    }
+  }
+  ASSERT_EQ(live_counts.size(), 40u);
+  EXPECT_LT(chi_square_uniform(live_counts),
+            chi_square_critical(live_counts.size() - 1));
 }
 
-TEST(SamplerStats, ShardedSampleLiveOtherUniformAfterKills) {
-  ShardedPopulation pop(50, 8);
+TEST(SamplerStats, PopulationSampleLiveOtherUniformAfterKillMany) {
+  // The intra-rep engine's batch path: victims retired by kill_many's
+  // stable compaction must leave sample_live_other uniform too.
+  Population pop(50);
   Rng churn(0xabcd);
-  for (int k = 0; k < 15; ++k) {
-    NodeId victim = pop.sample_live(churn);
-    while (victim == NodeId(9)) victim = pop.sample_live(churn);
-    pop.kill(victim);
+  std::vector<NodeId> victims;
+  for (std::uint64_t pos : churn.sample_distinct(pop.live_count(), 16)) {
+    if (pop.live()[pos] != NodeId(9)) victims.push_back(pop.live()[pos]);
   }
+  pop.kill_many(victims, 8);
   ASSERT_TRUE(pop.alive(NodeId(9)));
 
   Rng rng(0x1dea);
