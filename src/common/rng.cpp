@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -38,10 +39,21 @@ std::uint64_t Rng::poisson(double mean) {
 std::vector<std::uint64_t> Rng::sample_distinct(std::uint64_t n,
                                                 std::size_t k) {
   GOSSIP_REQUIRE(k <= n, "cannot sample more distinct values than exist");
-  // Floyd's algorithm: k iterations, each adding exactly one new element.
-  std::unordered_set<std::uint64_t> seen;
+  // Floyd's algorithm: iteration j draws t from [0, j] and adds t, or j
+  // when t is already taken. Every earlier value is below j, so j itself
+  // is never taken: only t needs a membership test.
   std::vector<std::uint64_t> result;
   result.reserve(k);
+  if (k <= kSampleScanLimit) {
+    for (std::uint64_t j = n - k; j < n; ++j) {
+      const std::uint64_t t = below(j + 1);
+      const bool taken =
+          std::find(result.begin(), result.end(), t) != result.end();
+      result.push_back(taken ? j : t);
+    }
+    return result;
+  }
+  std::unordered_set<std::uint64_t> seen;
   for (std::uint64_t j = n - k; j < n; ++j) {
     const std::uint64_t t = below(j + 1);
     if (seen.insert(t).second) {

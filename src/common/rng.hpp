@@ -113,7 +113,15 @@ public:
     shuffle(std::span<T>(items));
   }
 
-  /// k distinct values from [0, n) in O(k) expected time (Floyd's method).
+  /// Largest k for which sample_distinct tests membership by scanning
+  /// the values drawn so far instead of hashing them.
+  static constexpr std::size_t kSampleScanLimit = 64;
+
+  /// k distinct values from [0, n) by Floyd's method: k draws, in a
+  /// fixed output order. Membership is tested by a linear scan for
+  /// k <= kSampleScanLimit (no allocation beyond the result) and by a
+  /// hash set above it (O(k) expected). Both tests give the same output
+  /// and consume the same draws.
   std::vector<std::uint64_t> sample_distinct(std::uint64_t n, std::size_t k);
 
   /// Derives an independent child generator; used to give each repetition

@@ -168,19 +168,29 @@ void NewscastNetwork::grow_one(NodeId id) {
 void NewscastNetwork::bootstrap_random(std::uint32_t n, std::uint64_t now,
                                        Rng& rng) {
   GOSSIP_REQUIRE(n >= 2, "newscast bootstrap needs at least two nodes");
+  const std::size_t fill = std::min<std::size_t>(cache_size_, n - 1);
   pool_.assign(static_cast<std::size_t>(n) * cache_size_, CacheEntry{});
-  sizes_.assign(n, 0);
+  sizes_.assign(n, static_cast<std::uint32_t>(fill));
   // Both mark arrays restart with the epoch: a re-bootstrapped network
   // must not dedup against stamps of its previous life.
   buffers_.mark.assign(n, 0);
   buffers_.mark2.assign(n, 0);
   buffers_.epoch = 0;
-  const std::size_t fill = std::min<std::size_t>(cache_size_, n - 1);
+  // Each view is written once, and equals what inserting the draws one
+  // merge at a time would leave: every descriptor carries `now`, so
+  // `fresher` orders them by ascending id; they are distinct and at most
+  // c, so none is dropped; and the shift past u is monotone, so sorting
+  // the raw draws sorts the ids. Pinned by
+  // NewscastNetwork.BootstrapMatchesMergeReference.
   for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint64_t raw : rng.sample_distinct(n - 1, fill)) {
-      const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-      merge_into(buffers_, u, {}, CacheEntry{NodeId(v), now},
-                 NodeId::invalid());
+    std::vector<std::uint64_t> draws = rng.sample_distinct(n - 1, fill);
+    std::sort(draws.begin(), draws.end());
+    CacheEntry* slot =
+        pool_.data() + static_cast<std::size_t>(u) * cache_size_;
+    for (std::size_t i = 0; i < fill; ++i) {
+      const auto v =
+          static_cast<std::uint32_t>(draws[i] >= u ? draws[i] + 1 : draws[i]);
+      slot[i] = CacheEntry{NodeId(v), now};
     }
   }
 }

@@ -94,9 +94,12 @@ public:
   /// entry slots).
   [[nodiscard]] std::size_t size() const { return sizes_.size(); }
 
-  /// Registers node ids [0, n) and fills each cache with `cache_size`
-  /// random other nodes at timestamp `now` — the out-of-band bootstrap
-  /// of §4.2.
+  /// Registers node ids [0, n) and gives each node random other nodes at
+  /// timestamp `now` — the out-of-band bootstrap of §4.2. Per node u, in
+  /// id order, it draws `rng.sample_distinct(n - 1, min(c, n - 1))`,
+  /// shifts each value v >= u to v + 1, and stores those ids ascending
+  /// (the freshest-first order of equal timestamps). Every NEWSCAST
+  /// golden depends on this draw order.
   void bootstrap_random(std::uint32_t n, std::uint64_t now, Rng& rng);
 
   /// Adds one node. Its initial view is a copy of the `contact`'s cache

@@ -1,7 +1,6 @@
 #include "overlay/generators.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/require.hpp"
 

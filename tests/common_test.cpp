@@ -168,6 +168,39 @@ TEST(Rng, SampleDistinctFullRange) {
   for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(sample[i], i);
 }
 
+// Exact output and stream consumption on both sides of the scan/hash
+// threshold: k=30 is the NEWSCAST bootstrap's draw, k=1000 a COUNT
+// leader draw. The event engine has no bit-exact golden, so these pins
+// are what catches a change of order there.
+TEST(Rng, SampleDistinctPinnedOnBothSidesOfScanLimit) {
+  static_assert(30 <= Rng::kSampleScanLimit && 1000 > Rng::kSampleScanLimit);
+  Rng small(1);
+  const std::vector<std::uint64_t> expected{
+      140563, 104072, 114805, 78255,  139417, 28710,  14207,  76228,
+      173411, 110330, 186495, 191425, 186537, 133807, 119977, 178095,
+      16090,  98265,  9163,   12754,  92641,  99290,  122153, 69950,
+      80885,  42387,  77497,  170883, 150227, 196448};
+  EXPECT_EQ(small.sample_distinct(199'999, 30), expected);
+  EXPECT_EQ(small(), 202581184499657049ULL);
+
+  // FNV-1a 64 over each value's eight bytes, low byte first.
+  const auto fnv1a = [](const std::vector<std::uint64_t>& values) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint64_t v : values) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    return h;
+  };
+  Rng large(2);
+  const auto sample = large.sample_distinct(10'000, 1'000);
+  EXPECT_EQ(sample.size(), 1'000u);
+  EXPECT_EQ(fnv1a(sample), 0x1320b420827e74d4ULL);
+  EXPECT_EQ(large(), 4050273389719191843ULL);
+}
+
 TEST(Rng, SampleDistinctRejectsOversizedRequest) {
   Rng r(43);
   EXPECT_THROW(r.sample_distinct(3, 4), require_error);

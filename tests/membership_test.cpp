@@ -2,6 +2,7 @@
 // bootstrap, joins, crash aging-out, and overlay health under churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/require.hpp"
@@ -158,6 +159,79 @@ TEST(NewscastNetwork, BootstrapSmallNetworkCapsFill) {
   net.bootstrap_random(5, 0, rng);
   for (std::uint32_t u = 0; u < 5; ++u) {
     EXPECT_EQ(net.cache(NodeId(u)).size(), 4u);
+  }
+}
+
+// Pins the bootstrap's contents, not just its shape: every slot equals a
+// NewscastCache built by inserting, in draw order, the ids a twin Rng
+// draws for that node, and the bootstrap consumes exactly those draws.
+// Every NEWSCAST golden rests on this.
+TEST(NewscastNetwork, BootstrapMatchesMergeReference) {
+  struct Shape {
+    std::uint32_t n;
+    std::size_t c;
+  };
+  const Shape shapes[] = {{2, 1},   {2, 30},  {5, 30},   {31, 30},
+                          {32, 30}, {300, 8}, {1000, 1}, {1000, 64}};
+  const auto expect_matches_reference = [](const NewscastNetwork& net,
+                                           std::uint32_t n, std::size_t c,
+                                           std::uint64_t now, Rng& twin) {
+    const std::size_t fill = std::min<std::size_t>(c, n - 1);
+    for (std::uint32_t u = 0; u < n; ++u) {
+      NewscastCache reference(c);
+      for (std::uint64_t raw : twin.sample_distinct(n - 1, fill)) {
+        const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
+        reference.insert(CacheEntry{NodeId(v), now});
+      }
+      const auto got = net.view(NodeId(u));
+      const auto want = reference.entries();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                             want.end()))
+          << "n=" << n << " c=" << c << " now=" << now << " node " << u;
+    }
+  };
+  for (const Shape& s : shapes) {
+    for (std::uint64_t seed : {11u, 12u}) {
+      for (std::uint64_t now : {0u, 7u}) {
+        NewscastNetwork net(s.c);
+        Rng rng(seed);
+        Rng twin(seed);
+        net.bootstrap_random(s.n, now, rng);
+        ASSERT_EQ(net.size(), s.n);
+        expect_matches_reference(net, s.n, s.c, now, twin);
+        EXPECT_EQ(rng(), twin()) << "n=" << s.n << " c=" << s.c;
+      }
+    }
+  }
+
+  // A network that grew through joins, then bootstraps again, must be
+  // indistinguishable from a fresh one: same views, and the same views
+  // after further cycles. The joins leave merge marks at small epochs,
+  // which the first cycles would hit if the bootstrap kept them.
+  constexpr std::uint32_t kNodes = 40;
+  NewscastNetwork grown(6);
+  Rng rng(17);
+  grown.bootstrap_random(kNodes, 0, rng);
+  for (std::uint32_t id = kNodes; id < kNodes + 10; ++id) {
+    grown.add_node(NodeId(id), NodeId(id % 7), 1);
+  }
+
+  NewscastNetwork fresh(6);
+  Rng a(23);
+  Rng b(23);
+  grown.bootstrap_random(kNodes, 5, a);
+  fresh.bootstrap_random(kNodes, 5, b);
+  overlay::Population pop(kNodes);
+  for (std::uint64_t cycle = 5; cycle <= 8; ++cycle) {
+    ASSERT_EQ(grown.size(), fresh.size());
+    for (std::uint32_t u = 0; u < kNodes; ++u) {
+      const auto g = grown.view(NodeId(u));
+      const auto f = fresh.view(NodeId(u));
+      ASSERT_TRUE(std::equal(g.begin(), g.end(), f.begin(), f.end()))
+          << "cycle " << cycle << " node " << u;
+    }
+    grown.run_cycle(pop, cycle + 1, a);
+    fresh.run_cycle(pop, cycle + 1, b);
   }
 }
 
