@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/stream_salt.hpp"
 #include "experiment/parallel_runner.hpp"
@@ -15,30 +16,43 @@ namespace {
 // (common/stream_salt.hpp): salt::kIntraRepNewscast / salt::kIntraRepAgg
 // plus the round-mixing helpers, distinctness static_assert-checked.
 
-/// Commutative CAS-min: the cell converges to the minimum of every value
-/// offered during the pass regardless of thread interleaving, which is
-/// what makes the reservation outcome schedule-independent.
-inline void atomic_min(std::atomic<std::uint64_t>& cell, std::uint64_t v) {
-  std::uint64_t cur = cell.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-/// Node ids must leave two bits for the candidate index inside the
-/// packed 64-bit reservation priority.
-constexpr std::uint32_t kMaxNodes = 1u << 30;
-
 /// The intra-rep engine's own limits, checked before the core builds
 /// the topology.
 SimConfig checked(const SimConfig& config) {
   GOSSIP_REQUIRE(config.match_rounds >= 1,
                  "need at least one match round per cycle");
-  GOSSIP_REQUIRE(config.nodes < kMaxNodes,
-                 "intra-rep match priorities pack node ids into 30 bits");
   return config;
 }
 }  // namespace
+
+void sort_by_key(std::vector<std::uint64_t>& words,
+                 std::vector<std::uint64_t>& scratch) {
+  constexpr unsigned kPasses = 3;
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const auto digit = [](std::uint64_t w, unsigned pass) {
+    return static_cast<std::size_t>(w >> (32 + pass * kDigitBits)) &
+           (kBuckets - 1);
+  };
+  // One read pass counts all three digits; each counting pass then
+  // scatters in input order, which is what keeps the sort stable.
+  std::vector<std::size_t> offsets(kPasses * kBuckets, 0);
+  for (const std::uint64_t w : words) {
+    for (unsigned pass = 0; pass < kPasses; ++pass) {
+      ++offsets[pass * kBuckets + digit(w, pass)];
+    }
+  }
+  scratch.resize(words.size());
+  for (unsigned pass = 0; pass < kPasses; ++pass) {
+    std::size_t* next = &offsets[pass * kBuckets];
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      sum += std::exchange(next[b], sum);
+    }
+    for (const std::uint64_t w : words) scratch[next[digit(w, pass)]++] = w;
+    words.swap(scratch);
+  }
+}
 
 IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
                                        std::uint64_t seed, unsigned shards)
@@ -131,65 +145,45 @@ void IntraRepSimulation::propose(std::uint32_t cycle, std::uint64_t salt,
       if (draw_outcome && cand[0].is_valid()) {
         outcome_[u] = static_cast<std::uint8_t>(config_.comm.sample(stream));
       }
-      // The reservation priority key (31 bits so packed priorities stay
-      // clear of the free-cell sentinel). A fresh pseudorandom order per
-      // (cycle, round) plays the role the serial driver's per-cycle
-      // permutation plays: without it the same low-priority nodes find
-      // every candidate claimed round after round — persistent
-      // stragglers whose deviation dominates late-cycle variance.
+      // The match priority key (31 bits; the intra-rep goldens pin this
+      // exact draw). A fresh pseudorandom order per (cycle, round) plays
+      // the role the serial driver's per-cycle permutation plays: without
+      // it the same low-priority nodes find every candidate claimed round
+      // after round — persistent stragglers whose deviation dominates
+      // late-cycle variance.
       key_[u] = static_cast<std::uint32_t>(stream() >> 33);
     }
   });
 }
 
 void IntraRepSimulation::match(bool participants_only) {
-  // Deterministic parallel matching via reservations: the committed pair
-  // set equals what a serial greedy scan over nodes ordered by
-  // (key, id) — taking each node's first candidate that is unmatched at
-  // its turn, with the §4.2 break-on-dead rule — would produce, but no
-  // phase is serial O(N). Each fixed-shape round is three barriers:
-  //
-  //   A (reserve): every still-active node drops out if it was claimed,
-  //     advances its cursor past matched candidates (retiring when
-  //     starved), then atomically min-reserves its own cell and every
-  //     still-unmatched candidate cell with edge_priority(u, c). The
-  //     reservation array therefore ends the pass holding, per cell, the
-  //     globally smallest interested priority — a pure min-reduction,
-  //     independent of shard boundaries and scheduling.
-  //   B (commit): a node whose first-unmatched edge holds *both* its own
-  //     cell and the candidate's cell commits the pair; the embedded
-  //     node id makes priorities unique, so each cell has at most one
-  //     winner and all commit writes are disjoint.
-  //   C (reset): every touched cell returns to kFreeCell for the next
-  //     round (its own barrier — resetting during commit would let a
-  //     loser erase a winner's reservation mid-check).
-  //
-  // The globally smallest reserved edge always wins both its cells, so
-  // every round resolves nodes and the loop terminates (in practice a
-  // handful of rounds). Shards emptied by a mass crash are invisible:
-  // state is keyed by node id, never by the decomposition.
+  // Greedy matching in priority order: nodes are taken by (key, id), and
+  // each still-unmatched node claims its first candidate that is unmatched
+  // at its turn, with the §4.2 break-on-dead rule. The pair set is a pure
+  // function of (keys, proposals, liveness) — state keyed by node id,
+  // never by the decomposition — so shards, threads and shards emptied by
+  // a mass crash are invisible. The sort and scan are serial on purpose:
+  // the scan visits each active node once with a few plain loads, while
+  // parallel deterministic reservations (Blelloch et al., PPoPP 2012),
+  // which commit exactly these pairs, revisit every node over several
+  // contended CAS rounds and measured slower on 4 cores.
   const std::uint32_t total = population_.total();
-
-  if (reserve_size_ < total) {
-    reserve_ = std::make_unique<std::atomic<std::uint64_t>[]>(total);
-    reserve_size_ = total;
-  }
   active_.resize(shards_);
-  touched_.resize(shards_);
 
   // Init pass: per-node match state, candidate-list truncation (the
   // break conditions — invalid/self/dead/refusing — depend only on
-  // state frozen for the whole match), and the per-shard active lists.
+  // state frozen for the whole match), and the per-shard active lists
+  // as (key << 32) | id sort words, ascending in id.
   par_run(shards_, [&](std::size_t s) {
     const auto [lo, hi] = id_range(static_cast<unsigned>(s));
-    auto& active = active_[s];
+    // Filled as a local: the shards' vector headers share cache lines,
+    // and a push_back through active_[s] would write them every node.
+    std::vector<std::uint64_t> active = std::move(active_[s]);
     active.clear();
     for (std::uint32_t u = lo; u < hi; ++u) {
       matched_[u] = 0;
       partner_[u] = NodeId::invalid();
       initiator_[u] = 0;
-      cursor_[u] = 0;
-      reserve_[u].store(kFreeCell, std::memory_order_relaxed);
       const NodeId p(u);
       if (!population_.alive_unchecked(p)) {
         ncand_[u] = 0;
@@ -214,74 +208,46 @@ void IntraRepSimulation::match(bool participants_only) {
         }
       }
       ncand_[u] = n;
-      if (n > 0) active.push_back(u);
+      if (n > 0) {
+        active.push_back((static_cast<std::uint64_t>(key_[u]) << 32) | u);
+      }
     }
+    active_[s] = std::move(active);
   });
 
-  std::size_t remaining = 0;
-  for (const auto& active : active_) remaining += active.size();
+  // The shard lists concatenate in id order, and the stable key sort
+  // keeps that order among equal keys: the scan order is (key, id).
+  order_.clear();
+  for (const auto& active : active_) {
+    order_.insert(order_.end(), active.begin(), active.end());
+  }
+  sort_by_key(order_, sort_scratch_);
 
-  while (remaining > 0) {
-    // Pass A: advance cursors, compact the active lists, reserve.
-    par_run(shards_, [&](std::size_t s) {
-      auto& active = active_[s];
-      auto& touched = touched_[s];
-      std::size_t w = 0;
-      for (const std::uint32_t u : active) {
-        if (matched_[u]) continue;  // claimed in an earlier round
-        const NodeId* cand =
-            &proposals_[static_cast<std::size_t>(u) * kCandidates];
-        std::uint8_t c = cursor_[u];
-        while (c < ncand_[u] && matched_[cand[c].value()]) ++c;
-        cursor_[u] = c;
-        if (c == ncand_[u]) continue;  // starved — every candidate taken
-        active[w++] = u;
-        touched.push_back(u);
-        atomic_min(reserve_[u], edge_priority(u, c));
-        for (std::uint8_t k = c; k < ncand_[u]; ++k) {
-          const std::uint32_t q = cand[k].value();
-          if (matched_[q]) continue;
-          atomic_min(reserve_[q], edge_priority(u, k));
-          touched.push_back(q);
-        }
-      }
-      active.resize(w);
-    });
-
-    // Pass B: commit edges that hold both reservations.
-    par_run(shards_, [&](std::size_t s) {
-      auto& active = active_[s];
-      std::size_t w = 0;
-      for (const std::uint32_t u : active) {
-        const std::uint8_t c = cursor_[u];
-        const std::uint32_t q =
-            proposals_[static_cast<std::size_t>(u) * kCandidates + c]
-                .value();
-        const std::uint64_t pri = edge_priority(u, c);
-        if (reserve_[u].load(std::memory_order_relaxed) == pri &&
-            reserve_[q].load(std::memory_order_relaxed) == pri) {
-          matched_[u] = 1;
-          matched_[q] = 1;
-          partner_[u] = NodeId(q);
-          partner_[q] = NodeId(u);
-          initiator_[u] = 1;
-        } else {
-          active[w++] = u;  // retry next round
-        }
-      }
-      active.resize(w);
-    });
-
-    // Pass C: clear every reservation this round touched.
-    par_run(shards_, [&](std::size_t s) {
-      for (const std::uint32_t idx : touched_[s]) {
-        reserve_[idx].store(kFreeCell, std::memory_order_relaxed);
-      }
-      touched_[s].clear();
-    });
-
-    remaining = 0;
-    for (const auto& active : active_) remaining += active.size();
+  // The scan visits nodes in key order, i.e. at random ids: prefetch the
+  // proposal row a few nodes ahead, as apply_pairs prefetches its pairs.
+  constexpr std::size_t kPrefetchAhead = 8;
+  const std::size_t count = order_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kPrefetchAhead < count) {
+      const std::size_t ahead =
+          static_cast<std::uint32_t>(order_[i + kPrefetchAhead]);
+      __builtin_prefetch(&proposals_[ahead * kCandidates], /*rw=*/0,
+                         /*locality=*/1);
+    }
+    const auto u = static_cast<std::uint32_t>(order_[i]);
+    if (matched_[u]) continue;  // claimed by an earlier node
+    const NodeId* cand =
+        &proposals_[static_cast<std::size_t>(u) * kCandidates];
+    for (std::uint8_t c = 0; c < ncand_[u]; ++c) {
+      const std::uint32_t q = cand[c].value();
+      if (matched_[q]) continue;
+      matched_[u] = 1;
+      matched_[q] = 1;
+      partner_[u] = NodeId(q);
+      partner_[q] = NodeId(u);
+      initiator_[u] = 1;
+      break;
+    }
   }
 
   collect_pairs();
@@ -428,8 +394,6 @@ void IntraRepSimulation::aggregation_round(std::uint32_t cycle,
 
 void IntraRepSimulation::exchange_cycle(std::uint32_t cycle) {
   const std::uint32_t total = population_.total();
-  GOSSIP_REQUIRE(total < kMaxNodes,
-                 "intra-rep match priorities pack node ids into 30 bits");
   proposals_.resize(static_cast<std::size_t>(total) * kCandidates,
                     NodeId::invalid());
   outcome_.resize(total, 0);
@@ -438,7 +402,6 @@ void IntraRepSimulation::exchange_cycle(std::uint32_t cycle) {
   partner_.resize(total, NodeId::invalid());
   initiator_.resize(total, 0);
   ncand_.resize(total, 0);
-  cursor_.resize(total, 0);
   // Matched sub-rounds: `match_rounds` membership rounds (NEWSCAST
   // needs the extra view mixing — a single matching merges each cache
   // at most once per cycle, and under-mixed views leave aggregation

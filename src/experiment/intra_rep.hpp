@@ -10,18 +10,15 @@
 //      node draws its exchange partner candidates — plus the exchange's
 //      communication fate and its match priority key — from its own
 //      derived RNG stream;
-//   3. MATCH (parallel deterministic reservations): proposals resolve
-//      into a set of *disjoint* exchange pairs exactly as a serial
-//      greedy scan in priority order would, but via fixed-shape
-//      reserve/commit rounds (Blelloch-style deterministic
-//      reservations): each still-unmatched node atomically min-reserves
-//      itself and its viable candidates with a priority packed from
-//      (per-round pseudorandom key, node id, candidate index), and a
-//      node commits its first-unmatched candidate only when it holds
-//      both reservations. Min-reduction is commutative and every other
-//      structure is keyed by node id, so the pair set is independent of
-//      shards, threads and schedule; a node proposing a dead peer (the
-//      §4.2 timeout) sits the round out;
+//   3. MATCH (parallel init pass, then serial sort and scan): proposals
+//      resolve into a set of *disjoint* exchange pairs by a greedy scan
+//      in priority order. The active nodes are stably radix-sorted by
+//      their per-round pseudorandom 31-bit key (sort_by_key; equal keys
+//      keep id order), and one pass in that (key, id) order gives each
+//      still-unmatched node its first unmatched viable candidate. The
+//      scan order is keyed by node id, so the pair set is independent
+//      of shards, threads and schedule; a node proposing a dead peer
+//      (the §4.2 timeout) sits the round out;
 //   4. APPLY (parallel over pair chunks, software-prefetched one pair
 //      ahead like the serial driver's run_cycle pipeline): because pairs
 //      are disjoint, cache merges and estimate updates touch disjoint
@@ -42,15 +39,15 @@
 // late-cycle variance).
 //
 // Determinism: every random draw is keyed by (seed, cycle, node id,
-// phase/round), never by shard or thread, and every cross-shard
-// reduction (match reservations, statistics) is either a commutative
-// atomic min or a fixed-shape tree — so the output is bit-identical for
-// any GOSSIP_SHARDS × GOSSIP_THREADS combination (golden-tested for
-// 1/2/8 shards in tests/determinism_test.cpp and
-// tests/intra_rep_workloads_test.cpp), including degenerate geometries
-// (shards > N, shards emptied by a mass crash). No phase of the cycle
-// is serial O(N): the only serial residue is O(shards + segments) glue
-// (prefix sums and the reduction-tree folds).
+// phase/round), never by shard or thread, the match scans in (key, id)
+// order, and every cross-shard statistics reduction is a fixed-shape
+// tree — so the output is bit-identical for any GOSSIP_SHARDS ×
+// GOSSIP_THREADS combination (golden-tested for 1/2/8 shards in
+// tests/determinism_test.cpp and tests/intra_rep_workloads_test.cpp),
+// including degenerate geometries (shards > N, shards emptied by a mass
+// crash). The match's sort and scan are serial O(N); everything else
+// serial is O(shards + segments) glue (prefix sums and the
+// reduction-tree folds).
 //
 // The engine owns its domain decomposition: `shards` contiguous id-space
 // slices (id_range) for the per-node sweeps, over the same live set,
@@ -65,10 +62,8 @@
 // goldens, not against the serial driver's.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -85,11 +80,18 @@ namespace gossip::experiment {
 
 class ParallelRunner;  // experiment/parallel_runner.hpp
 
+/// The match's scan order: stably sorts `words`, each `(key << 32) | id`,
+/// by key alone, so words with equal keys keep their input order. An LSD
+/// radix sort of three 11-bit counting passes; `scratch` is its second
+/// buffer.
+void sort_by_key(std::vector<std::uint64_t>& words,
+                 std::vector<std::uint64_t>& scratch);
+
 /// Wall-clock decomposition of one intra-rep run: total time inside
 /// run() vs time spent inside ParallelRunner batches. The difference is
-/// the serial residue (phase glue, prefix sums, reduction-tree folds) —
-/// the Amdahl term the benchmark reports as
-/// experiment.intra_rep.serial_fraction.
+/// the serial residue (the match's key sort and greedy scan, phase glue,
+/// prefix sums, reduction-tree folds) — the Amdahl term the benchmark
+/// reports as experiment.intra_rep.serial_fraction.
 struct IntraRepPhaseProfile {
   double total_seconds = 0.0;
   double parallel_seconds = 0.0;
@@ -172,17 +174,6 @@ private:
     return Rng(splitmix64(s));
   }
 
-  /// Reservation priority of node u's candidate edge c: the per-round
-  /// pseudorandom 31-bit key leads (the scan order), node id and
-  /// candidate index break ties into a strict total order. Smaller wins;
-  /// every packed value is < 2^63, so kFreeCell can never collide.
-  [[nodiscard]] std::uint64_t edge_priority(std::uint32_t u,
-                                            unsigned c) const {
-    return (static_cast<std::uint64_t>(key_[u]) << 32) |
-           (static_cast<std::uint64_t>(u) << 2) | c;
-  }
-
-  static constexpr std::uint64_t kFreeCell = ~std::uint64_t{0};
   /// Fixed statistics-segment count: the per-cycle stats pass is
   /// parallel over these id-space segments and folded through
   /// stats::merge_tree. The count is a constant — never the shard or
@@ -201,11 +192,9 @@ private:
   std::vector<NodeId> partner_;        // per node: matched counterpart
   std::vector<std::uint8_t> initiator_;  // per node: owns the pair
   std::vector<std::uint8_t> ncand_;    // per node: viable-candidate count
-  std::vector<std::uint8_t> cursor_;   // per node: first maybe-free cand
-  std::unique_ptr<std::atomic<std::uint64_t>[]> reserve_;  // per node
-  std::size_t reserve_size_ = 0;
-  std::vector<std::vector<std::uint32_t>> active_;   // per shard
-  std::vector<std::vector<std::uint32_t>> touched_;  // per shard
+  std::vector<std::vector<std::uint64_t>> active_;  // per shard: sort words
+  std::vector<std::uint64_t> order_;         // match scan order
+  std::vector<std::uint64_t> sort_scratch_;  // sort_by_key's second buffer
   std::vector<std::size_t> pair_offsets_;  // per-shard pair prefix sums
   std::vector<std::pair<NodeId, NodeId>> pairs_;
   std::vector<NodeId> victims_;        // kill batch staging

@@ -245,11 +245,12 @@ TEST(IntraRepDeterminism, GoldenValuesAndShardCountInvariance) {
   const RunResult baseline = serial.run_single(spec, 12345);
 
   const double expected[][2] = {
-      // {mean, variance} per cycle, captured at shards=1, threads=1 from
-      // the parallel-matching engine (deterministic reservations keyed
-      // by per-round priority draws, segmented stats folded through the
-      // fixed-shape reduction tree — regenerated with that change; the
-      // serial-greedy-scan trajectory is retired).
+      // {mean, variance} per cycle at shards=1, threads=1: the greedy
+      // match scan in (per-round priority key, id) order, segmented stats
+      // folded through the fixed-shape reduction tree. A parallel
+      // deterministic-reservations match recorded these values; the key
+      // order scan commits the same pairs and reproduces them bit for
+      // bit.
       {1.0, 64.0},
       {1.0491803278688525, 33.014207650273221},
       {0.55172413793103448, 8.6727162734422265},

@@ -11,14 +11,20 @@
 //    leader set on both engines.
 //  * Raced stress: heavy-churn COUNT across a wide shard × thread pool
 //    for the TSan job, compared bitwise against the 1/1 reference.
+//  * Key sort: the match's (key, id) scan order, checked against
+//    std::stable_sort on empty, single, all-equal, extreme and large
+//    inputs.
 //  * Convergence: R = 3 matched rounds must bring the per-cycle factor
 //    on the AVERAGE-peak workload within 1.2× of the serial driver's
 //    (it currently lands well below it — see EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "experiment/cycle_sim.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/intra_rep.hpp"
@@ -183,10 +189,11 @@ TEST(IntraRepCount, RecordsEveryInstanceLane) {
 }
 
 TEST(IntraRepMatch, RacedReservationAndReductionPhases) {
-  // Dedicated TSan shape for the reservation matching + segmented stats
-  // reduction: a wide shard × thread pool, heavy churn (so the active
-  // lists drain over several reservation rounds against a shifting
-  // population) on both a dynamic and a sampled topology, multi-round —
+  // Dedicated TSan shape for the match's parallel init and pair
+  // collection, the newscast and aggregation apply passes, the segmented
+  // stats reduction and kill_many's compaction: a wide shard × thread
+  // pool, heavy churn (a shifting population, shards emptied between
+  // cycles) on both a dynamic and a sampled topology, multi-round —
   // compared bitwise against the 1-shard/1-thread reference.
   for (const auto& topology :
        {TopologyConfig::newscast(8), TopologyConfig::complete()}) {
@@ -201,6 +208,39 @@ TEST(IntraRepMatch, RacedReservationAndReductionPhases) {
     SCOPED_TRACE(testing::Message()
                  << "kind=" << static_cast<int>(topology.kind));
     expect_identical(baseline, raced.run_single(spec, 20260727));
+  }
+}
+
+TEST(IntraRepMatch, KeySortIsStableSortByKey) {
+  // sort_by_key fixes the match's scan order, so check it against
+  // std::stable_sort by key on the edges the goldens (N <= 600, random
+  // keys) never reach. Ids run downwards from 2^32 - 2, so words with
+  // equal keys are out of id order: only a stable key sort keeps them.
+  const auto word = [](std::uint64_t key, std::size_t i) {
+    return (key << 32) | (0xFFFFFFFEu - static_cast<std::uint32_t>(i));
+  };
+  constexpr std::uint64_t kMaxKey = (std::uint64_t{1} << 31) - 1;
+  Rng rng(20261017);
+  // Empty, one element, all keys equal, keys 0 and 2^31 - 1 mixed, and
+  // 10^5 random keys.
+  std::vector<std::vector<std::uint64_t>> inputs(5);
+  inputs[1].push_back(word(kMaxKey, 0));
+  for (std::size_t i = 0; i < 5000; ++i) {
+    inputs[2].push_back(word(42, i));
+    inputs[3].push_back(word(rng.chance(0.5) ? 0 : kMaxKey, i));
+  }
+  for (std::size_t i = 0; i < 100'000; ++i) {
+    inputs[4].push_back(word(rng() >> 33, i));
+  }
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    std::vector<std::uint64_t> words = inputs[k];
+    std::stable_sort(inputs[k].begin(), inputs[k].end(),
+                     [](std::uint64_t a, std::uint64_t b) {
+                       return (a >> 32) < (b >> 32);
+                     });
+    std::vector<std::uint64_t> scratch;
+    sort_by_key(words, scratch);
+    EXPECT_EQ(words, inputs[k]) << "input " << k;
   }
 }
 
