@@ -166,12 +166,29 @@ RunResult exec_event(const ScenarioSpec& spec, std::uint64_t seed) {
   cfg.nodes = spec.nodes;
   cfg.seed = seed;
   cfg.p_loss = spec.comm.message_loss;
+  // One epoch, as on every other driver. Each node's γ-th cycle starts
+  // inside the run window (its phase is below δ), so γ = cycles would
+  // still restart every node; cycles + 1 is the smallest that does not.
+  cfg.protocol.cycles_per_epoch = spec.cycles + 1;
   cfg.protocol.atomic_exchanges = spec.atomic_exchanges;
+  cfg.initial_value = [initial = initial_values(spec, seed)](NodeId id) {
+    return initial[id.value()];
+  };
   proto::World world(cfg);
   world.start();
-  world.run_cycles(spec.cycles);
 
   RunResult out;
+  const auto record = [&world, &out] {
+    stats::RunningStats s;
+    for (const double e : world.estimates()) s.add(e);
+    out.per_cycle.push_back(s);
+    out.tracker.record(s.variance());
+  };
+  record();
+  for (std::uint32_t c = 0; c < spec.cycles; ++c) {
+    world.run_cycles(1);
+    record();
+  }
   const auto estimates = world.estimates();
   out.sizes = stats::summarize(estimates);
   out.participants = static_cast<std::uint32_t>(estimates.size());

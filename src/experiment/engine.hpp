@@ -41,7 +41,7 @@ namespace gossip::experiment {
 /// The unified result of one repetition, for every driver.
 struct RunResult {
   /// Estimate statistics per cycle: index 0 the initial state, index
-  /// i >= 1 after cycle i. Empty for the event driver.
+  /// i >= 1 after cycle i.
   std::vector<stats::RunningStats> per_cycle;
   /// Convergence bookkeeping over the recorded variances.
   stats::ConvergenceTracker tracker;

@@ -1052,7 +1052,7 @@ void validate(const ScenarioSpec& spec) {
       fail("driver 'event' supports aggregate 'average' only");
     }
     // Event-engine descriptors are stamped with simulated microseconds
-    // (cycle_length = 10⁶ µs, proto::NodeConfig), which must fit the
+    // (cycle_length = 10⁶ µs, proto::WorldConfig), which must fit the
     // packed 32-bit logical clock of membership::CacheEntry.
     if (spec.cycles > 4294u) {
       fail("driver 'event' stamps simulated microseconds into the packed "
@@ -1073,10 +1073,6 @@ void validate(const ScenarioSpec& spec) {
     if (spec.comm.link_failure != 0.0) {
       fail("driver 'event' models message loss only; comm.link_failure "
            "must be 0");
-    }
-    if (spec.init != InitKind::kPeak) {
-      fail("driver 'event' supports init 'peak' only, got '" +
-           to_string(spec.init) + "'");
     }
     if (!(spec.topology == TopologyConfig{})) {
       fail("driver 'event' uses its own bootstrap membership and ignores "

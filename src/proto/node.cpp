@@ -1,26 +1,18 @@
 #include "proto/node.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace gossip::proto {
 
-Node::Node(NodeId id, double local_value, const ProtocolConfig& config,
-           sim::EventLoop& loop, net::Network<Message>& network, Rng rng)
+Node::Node(NodeId id, double local_value, const ProtocolConfig& config)
     : id_(id),
       local_value_(local_value),
       estimate_(local_value),
       config_(config),
-      loop_(&loop),
-      network_(&network),
-      rng_(rng),
       epochs_(config.cycles_per_epoch),
       cache_(config.cache_size) {}
 
 Node::Node(NodeId id, double local_value, const ProtocolConfig& config,
-           sim::EventLoop& loop, net::Network<Message>& network, Rng rng,
            std::uint64_t contact_epoch)
-    : Node(id, local_value, config, loop, network, rng) {
+    : Node(id, local_value, config) {
   if (contact_epoch > 0) epochs_.adopt(contact_epoch);
   gate_ = core::JoinGate::joined_during(contact_epoch);
 }
@@ -29,85 +21,44 @@ void Node::bootstrap_view(std::span<const membership::CacheEntry> view) {
   cache_.merge(view, membership::CacheEntry{NodeId::invalid(), 0}, id_);
 }
 
-void Node::start() {
-  GOSSIP_REQUIRE(!running_, "node already started");
-  running_ = true;
-  const sim::SimTime phase = rng_.below(config_.cycle_length);
-  cycle_task_ = loop_->schedule_after(phase, [this] { on_cycle(); });
+std::vector<membership::CacheEntry> Node::view_copy() const {
+  return {cache_.entries().begin(), cache_.entries().end()};
 }
 
-void Node::stop() {
-  if (!running_) return;
-  running_ = false;
-  loop_->cancel(cycle_task_);
-  cancel_pending();
+NewsPush Node::news_push(std::uint64_t now) const {
+  return NewsPush{view_copy(), membership::CacheEntry{id_, now}};
 }
 
-void Node::cancel_pending() {
-  if (pending_request_) {
-    loop_->cancel(timeout_task_);
-    pending_request_.reset();
+std::optional<AggPush> Node::begin_exchange(NodeId peer) {
+  if (!participating() || pending_ || !peer.is_valid() || peer == id_) {
+    return std::nullopt;
   }
+  const std::uint64_t request_id = next_request_id_++;
+  pending_ = Pending{request_id, peer};
+  ++stats_.pushes_sent;
+  return AggPush{epochs_.epoch(), request_id, estimate_};
 }
 
-double Node::apply_update(double a, double b) const {
-  return core::apply_update(config_.update, a, b);
-}
-
-membership::CacheEntry Node::fresh_self() const {
-  return membership::CacheEntry{id_, loop_->now()};
-}
-
-void Node::on_cycle() {
-  if (!running_) return;
-  cycle_task_ = loop_->schedule_after(config_.cycle_length,
-                                      [this] { on_cycle(); });
-
-  // NEWSCAST exchange: runs in every cycle regardless of epoch gating —
-  // membership is what keeps the overlay repaired (§4.4).
-  const NodeId news_peer = cache_.sample(rng_);
-  if (news_peer.is_valid()) {
-    network_->send(
-        id_, news_peer,
-        NewsPush{{cache_.entries().begin(), cache_.entries().end()},
-                 fresh_self()});
-  }
-
-  // Aggregation exchange (fig. 1 active thread), only while this node
-  // participates in the running epoch.
-  if (gate_.participates_in(epochs_.epoch())) {
-    const NodeId peer = cache_.sample(rng_);
-    if (peer.is_valid() && !pending_request_) {
-      const std::uint64_t request_id = next_request_id_++;
-      pending_request_ = request_id;
-      ++stats_.exchanges_initiated;
-      network_->send(id_, peer,
-                     AggPush{epochs_.epoch(), request_id, estimate_});
-      timeout_task_ = loop_->schedule_after(
-          config_.timeout,
-          [this, request_id] { on_exchange_timeout(request_id); });
-    }
-  }
-
-  if (epochs_.advance_cycle()) complete_epoch();
-}
-
-void Node::on_exchange_timeout(std::uint64_t request_id) {
-  // §4.2: "If the timeout expires before the message is received, the
-  // exchange step is skipped."
-  if (pending_request_ && *pending_request_ == request_id) {
-    pending_request_.reset();
+void Node::on_timeout(std::uint64_t request_id) {
+  if (pending_ && pending_->request_id == request_id) {
+    pending_.reset();
     ++stats_.timeouts;
   }
 }
 
-void Node::complete_epoch() {
+void Node::end_cycle() {
+  if (!epochs_.advance_cycle()) return;
   // §4.1: report the estimate as output, re-initialize from the current
   // local value. A still-pending exchange belongs to the finished epoch;
-  // its reply will be ignored (stale epoch tag).
+  // its reply will count as late.
   last_report_ = estimate_;
   estimate_ = local_value_;
-  cancel_pending();
+  pending_.reset();
+}
+
+void Node::drift(double delta) {
+  local_value_ += delta;
+  if (participating()) estimate_ += delta;
 }
 
 void Node::adopt_epoch(std::uint64_t remote_epoch) {
@@ -116,43 +67,54 @@ void Node::adopt_epoch(std::uint64_t remote_epoch) {
   // estimate as output — without this, a node that adopted epoch e some
   // cycles late would always be preempted by e+1 before its own γ-count
   // completes, and would never report at all.
-  if (gate_.participates_in(epochs_.epoch()) &&
-      epochs_.cycle_in_epoch() > 0) {
+  if (participating() && epochs_.cycle_in_epoch() > 0) {
     last_report_ = estimate_;
   }
   epochs_.adopt(remote_epoch);
   estimate_ = local_value_;
-  cancel_pending();
+  pending_.reset();
   ++stats_.epochs_adopted;
 }
 
-void Node::on_message(NodeId from, const Message& message) {
-  if (!running_) return;
-  std::visit([this, from](const auto& m) { handle(from, m); }, message);
+std::optional<Message> Node::on_message(NodeId from, const Message& message,
+                                        std::uint64_t now) {
+  if (const auto* push = std::get_if<AggPush>(&message)) return serve(*push);
+  if (const auto* reply = std::get_if<AggReply>(&message)) {
+    receive(from, *reply);
+    return std::nullopt;
+  }
+  if (const auto* news = std::get_if<NewsPush>(&message)) {
+    // §4.4: answer with our view as it was, then merge theirs.
+    NewsReply answer{view_copy(), membership::CacheEntry{id_, now}};
+    cache_.merge(news->entries, news->fresh, id_);
+    return answer;
+  }
+  const auto& answer = std::get<NewsReply>(message);
+  cache_.merge(answer.entries, answer.fresh, id_);
+  ++stats_.news_exchanges;
+  return std::nullopt;
 }
 
-void Node::handle(NodeId from, const AggPush& push) {
+AggReply Node::serve(const AggPush& push) {
   ++stats_.pushes_received;
-  // A joiner refuses exchanges of the epoch it sits out (§4.2); the
-  // initiator's timeout handles the silence, like a link failure.
-  if (!gate_.participates_in(push.epoch)) return;
-  // Exchange atomicity: while our own push is in flight, the estimate is
-  // committed to that exchange — serving another exchange against it
-  // would double-count mass and break sum conservation (the fig. 1
-  // pseudocode is implicitly atomic per exchange). The initiator's
-  // timeout treats this like a momentary link failure: pure slowdown.
-  if (config_.atomic_exchanges && pending_request_) {
-    ++stats_.pushes_refused_busy;
-    return;
+  ++stats_.replies_sent;
+  // Refuse with a NACK, which frees the initiator at once:
+  //  * a joiner sits out the epoch it joined in (§4.2);
+  //  * exchange atomicity — while our own push is in flight, the estimate
+  //    is committed to that exchange, and serving another against it
+  //    would double-count mass and break sum conservation (the fig. 1
+  //    pseudocode is implicitly atomic per exchange).
+  if (!gate_.participates_in(push.epoch) ||
+      (config_.atomic_exchanges && pending_)) {
+    ++stats_.busy_nacks;
+    return AggReply{epochs_.epoch(), push.request_id, 0.0, /*refused=*/true};
   }
   switch (epochs_.classify(push.epoch)) {
     case core::EpochMachine::TagAction::kStale:
       // Push from an older epoch: tell the sender about ours.
       ++stats_.refusals_sent;
-      network_->send(id_, from,
-                     AggReply{epochs_.epoch(), push.request_id, 0.0,
-                              /*refused=*/true});
-      return;
+      return AggReply{epochs_.epoch(), push.request_id, 0.0,
+                      /*refused=*/true};
     case core::EpochMachine::TagAction::kAdopt:
       adopt_epoch(push.epoch);
       break;
@@ -160,47 +122,35 @@ void Node::handle(NodeId from, const AggPush& push) {
       break;
   }
   // Fig. 1 passive thread: reply with the pre-update state, then update.
-  network_->send(id_, from,
-                 AggReply{epochs_.epoch(), push.request_id, estimate_,
-                          /*refused=*/false});
-  estimate_ = apply_update(estimate_, push.value);
-  ++stats_.pushes_served;
+  const AggReply reply{epochs_.epoch(), push.request_id, estimate_,
+                       /*refused=*/false};
+  estimate_ = core::apply_update(config_.update, estimate_, push.value);
+  return reply;
 }
 
-void Node::handle(NodeId, const AggReply& reply) {
-  const bool matches =
-      pending_request_ && *pending_request_ == reply.request_id;
-  if (reply.refused) {
-    if (matches) cancel_pending();
-    if (epochs_.classify(reply.epoch) ==
-        core::EpochMachine::TagAction::kAdopt) {
-      adopt_epoch(reply.epoch);
+void Node::receive(NodeId from, const AggReply& reply) {
+  if (pending_ && pending_->request_id == reply.request_id &&
+      pending_->peer == from) {
+    pending_.reset();
+    ++stats_.replies_received;
+    if (!reply.refused &&
+        epochs_.classify(reply.epoch) ==
+            core::EpochMachine::TagAction::kAccept) {
+      estimate_ = core::apply_update(config_.update, estimate_, reply.value);
+      ++stats_.exchanges_completed;
+      return;
     }
-    return;
+  } else {
+    // After a timeout or an epoch roll the exchange is void.
+    ++stats_.late_replies;
+    if (!reply.refused) return;
   }
-  if (!matches) return;  // late reply after timeout or epoch roll
-  if (epochs_.classify(reply.epoch) !=
-      core::EpochMachine::TagAction::kAccept) {
-    // Reply from another epoch than ours: exchange is void. Adopt newer.
-    cancel_pending();
-    if (reply.epoch > epochs_.epoch()) adopt_epoch(reply.epoch);
-    return;
+  // A refusal, or a reply from another epoch: no exchange happened, but a
+  // newer epoch id still spreads (§4.3).
+  if (epochs_.classify(reply.epoch) ==
+      core::EpochMachine::TagAction::kAdopt) {
+    adopt_epoch(reply.epoch);
   }
-  cancel_pending();
-  estimate_ = apply_update(estimate_, reply.value);
-  ++stats_.exchanges_completed;
-}
-
-void Node::handle(NodeId from, const NewsPush& push) {
-  network_->send(
-      id_, from,
-      NewsReply{{cache_.entries().begin(), cache_.entries().end()},
-                fresh_self()});
-  cache_.merge(push.entries, push.fresh, id_);
-}
-
-void Node::handle(NodeId, const NewsReply& reply) {
-  cache_.merge(reply.entries, reply.fresh, id_);
 }
 
 }  // namespace gossip::proto

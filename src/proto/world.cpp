@@ -23,16 +23,10 @@ World::World(WorldConfig config)
   network_->attach_trace(&trace_);
 
   nodes_.reserve(config_.nodes);
+  rngs_.reserve(config_.nodes);
   for (std::uint32_t u = 0; u < config_.nodes; ++u) {
     const NodeId id(u);
-    auto node = std::make_unique<Node>(id, config_.initial_value(id),
-                                       config_.protocol, loop_, *network_,
-                                       rng_.split());
-    network_->register_node(
-        id, [raw = node.get()](NodeId from, const Message& m) {
-          raw->on_message(from, m);
-        });
-    nodes_.push_back(std::move(node));
+    add_node(Node(id, config_.initial_value(id), config_.protocol));
   }
   // Random bootstrap views, as in the cycle driver.
   const std::size_t fill =
@@ -44,61 +38,98 @@ World::World(WorldConfig config)
       const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
       view.push_back(membership::CacheEntry{NodeId(v), 0});
     }
-    nodes_[u]->bootstrap_view(view);
+    nodes_[u].bootstrap_view(view);
   }
 }
 
+void World::add_node(Node node) {
+  const auto u = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.push_back(std::move(node));
+  rngs_.push_back(rng_.split());
+  network_->register_node(NodeId(u), [this, u](NodeId from,
+                                                const Message& message) {
+    if (auto reply = nodes_[u].on_message(from, message, loop_.now())) {
+      network_->send(NodeId(u), from, std::move(*reply));
+    }
+  });
+}
+
 void World::start() {
-  for (const auto& node : nodes_) node->start();
+  for (std::uint32_t u = 0; u < nodes_.size(); ++u) start_node(u);
+}
+
+void World::start_node(std::uint32_t u) {
+  loop_.schedule_after(rngs_[u].below(config_.cycle_length),
+                       [this, u] { on_cycle(u); });
+}
+
+void World::on_cycle(std::uint32_t u) {
+  const NodeId id(u);
+  if (!network_->alive(id)) return;  // a crashed node's timer stops
+  loop_.schedule_after(config_.cycle_length, [this, u] { on_cycle(u); });
+  Node& node = nodes_[u];
+  Rng& rng = rngs_[u];
+
+  // NEWSCAST exchange: runs in every cycle regardless of epoch gating —
+  // membership is what keeps the overlay repaired (§4.4).
+  const NodeId news_peer = node.view().sample(rng);
+  if (news_peer.is_valid()) {
+    network_->send(id, news_peer, node.news_push(loop_.now()));
+  }
+
+  // Aggregation exchange (fig. 1 active thread), only while this node
+  // participates in the running epoch.
+  if (node.participating()) {
+    const NodeId peer = node.view().sample(rng);
+    if (auto push = node.begin_exchange(peer)) {
+      network_->send(id, peer, *push);
+      loop_.schedule_after(config_.timeout,
+                           [this, u, request_id = push->request_id] {
+                             nodes_[u].on_timeout(request_id);
+                           });
+    }
+  }
+
+  node.end_cycle();
 }
 
 void World::run_cycles(double cycles) {
   GOSSIP_REQUIRE(cycles >= 0.0, "cannot run negative cycles");
   const auto span = static_cast<sim::SimTime>(
-      cycles * static_cast<double>(config_.protocol.cycle_length));
+      cycles * static_cast<double>(config_.cycle_length));
   loop_.run_until(loop_.now() + span);
 }
 
 Node& World::node(NodeId id) {
   GOSSIP_REQUIRE(id.is_valid() && id.value() < nodes_.size(),
                  "node() id out of range");
-  return *nodes_[id.value()];
+  return nodes_[id.value()];
 }
 
-void World::crash(NodeId id) {
-  network_->crash(id);
-  node(id).stop();
-}
+void World::crash(NodeId id) { network_->crash(id); }
 
 NodeId World::join(NodeId contact, double local_value) {
   GOSSIP_REQUIRE(alive(contact), "join contact must be alive");
   const NodeId id(static_cast<std::uint32_t>(nodes_.size()));
-  Node& contact_node = node(contact);
-  auto fresh = std::make_unique<Node>(id, local_value, config_.protocol,
-                                      loop_, *network_, rng_.split(),
-                                      contact_node.epoch());
-  network_->register_node(
-      id, [raw = fresh.get()](NodeId from, const Message& m) {
-        raw->on_message(from, m);
-      });
-  // §4.2 join: the contact hands over its view (plus itself), and learns
-  // about the newcomer.
+  // §4.2 join: the contact hands over its view (plus itself) and the
+  // running epoch.
+  const Node& contact_node = node(contact);
   std::vector<membership::CacheEntry> view(
       contact_node.view().entries().begin(),
       contact_node.view().entries().end());
   view.push_back(membership::CacheEntry{contact, loop_.now()});
-  fresh->bootstrap_view(view);
-  fresh->start();
-  nodes_.push_back(std::move(fresh));
+  Node fresh(id, local_value, config_.protocol, contact_node.epoch());
+  fresh.bootstrap_view(view);
+  add_node(std::move(fresh));
+  start_node(id.value());
   return id;
 }
 
 std::vector<double> World::estimates() const {
   std::vector<double> out;
   out.reserve(nodes_.size());
-  for (std::uint32_t u = 0; u < nodes_.size(); ++u) {
-    const auto& node = *nodes_[u];
-    if (network_->alive(NodeId(u)) && node.participating()) {
+  for (const Node& node : nodes_) {
+    if (network_->alive(node.id()) && node.participating()) {
       out.push_back(node.estimate());
     }
   }
@@ -107,9 +138,8 @@ std::vector<double> World::estimates() const {
 
 std::vector<double> World::reports() const {
   std::vector<double> out;
-  for (std::uint32_t u = 0; u < nodes_.size(); ++u) {
-    const auto& node = *nodes_[u];
-    if (network_->alive(NodeId(u)) && node.participating() &&
+  for (const Node& node : nodes_) {
+    if (network_->alive(node.id()) && node.participating() &&
         node.last_report()) {
       out.push_back(*node.last_report());
     }

@@ -1,7 +1,10 @@
-// Assembles a whole event-driven deployment: loop + lossy/latent network
-// + N protocol nodes with bootstrap views. This is the harness the
-// integration tests and the monitoring example drive; it plays the role
-// PeerSim's event-based mode played for the authors.
+// The deterministic host of the §4 node: virtual time on sim::EventLoop,
+// a lossy, latent net::Network, and N protocol nodes with bootstrap
+// views. The world owns what the sans-I/O node leaves to its host: each
+// node's δ timer at a random phase, the exchange timeouts and the peer
+// draws (one random stream per node). This is the harness the event
+// driver and the integration tests drive; it plays the role PeerSim's
+// event-based mode played for the authors.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,8 @@ namespace gossip::proto {
 struct WorldConfig {
   std::uint32_t nodes = 100;
   ProtocolConfig protocol;
+  sim::SimTime cycle_length = 1'000'000;  ///< δ (µs of virtual time)
+  sim::SimTime timeout = 400'000;         ///< exchange timeout (§4.2)
   /// Per-message loss probability (fig. 7b's model at the transport).
   double p_loss = 0.0;
   /// One-way latency bounds (uniform). Must stay well under the timeout
@@ -56,7 +61,7 @@ public:
     return network_->alive(id);
   }
 
-  /// Crashes a node: silences its transport and stops its timers.
+  /// Crashes a node: silences its transport and stops its δ timer.
   void crash(NodeId id);
 
   /// Joins a brand-new node through `contact` (§4.2): it copies the
@@ -75,12 +80,20 @@ public:
   [[nodiscard]] std::vector<double> reports() const;
 
 private:
+  /// Adds node `nodes_.size()` with its own random stream and transport
+  /// handler.
+  void add_node(Node node);
+  /// Arms the first cycle of node `u` at a random phase within δ.
+  void start_node(std::uint32_t u);
+  void on_cycle(std::uint32_t u);
+
   WorldConfig config_;
   Rng rng_;
   sim::EventLoop loop_;
   net::TraceLog trace_;
   std::unique_ptr<net::Network<Message>> network_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Node> nodes_;
+  std::vector<Rng> rngs_;  ///< per node: phase and peer draws
 };
 
 }  // namespace gossip::proto

@@ -1,7 +1,8 @@
 // Observability counters of the deployment runtime (executor.hpp):
-// everything the protocol does on the wire, aggregated across workers at
-// the end of a run. Split into its own header so the experiment layer can
-// embed the struct in RunResult without pulling in threads or sockets.
+// everything the protocol does on the wire, summed over the workers and
+// the nodes' proto::Node::Stats at the end of a run. Split into its own
+// header so the experiment layer can embed the struct in RunResult
+// without pulling in threads or sockets.
 #pragma once
 
 #include <cstdint>

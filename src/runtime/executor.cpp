@@ -7,7 +7,6 @@
 
 #include "common/require.hpp"
 #include "common/stream_salt.hpp"
-#include "core/update.hpp"
 #include "proto/wire.hpp"
 
 namespace gossip::runtime {
@@ -54,6 +53,19 @@ private:
   std::atomic<std::int64_t>& counter_;
 };
 
+/// Sums one node's protocol counters into the run's.
+void add_protocol(RuntimeCounters& c, const proto::Node::Stats& s) {
+  c.pushes_sent += s.pushes_sent;
+  c.pushes_received += s.pushes_received;
+  c.replies_sent += s.replies_sent;
+  c.replies_received += s.replies_received;
+  c.busy_nacks += s.busy_nacks;
+  c.timeouts += s.timeouts;
+  c.late_replies += s.late_replies;
+  c.exchanges_completed += s.exchanges_completed;
+  c.news_exchanges += s.news_exchanges;
+}
+
 }  // namespace
 
 Executor::Executor(ExecutorConfig config, Transport& transport)
@@ -63,13 +75,8 @@ Executor::Executor(ExecutorConfig config, Transport& transport)
       driver_rng_(config_.seed ^ salt::kRuntimeDriver) {
   const std::uint32_t local = config_.local_hi - config_.local_lo;
   const std::size_t capacity = std::size_t{local} + config_.max_joins;
-  estimates_.reserve(capacity);
-  values_.reserve(capacity);
+  nodes_.reserve(capacity);
   alive_.reserve(capacity);
-  participant_.reserve(capacity);
-  pending_req_.reserve(capacity);
-  pending_peer_.reserve(capacity);
-  if (config_.overlay == OverlayMode::kNewscast) caches_.reserve(capacity);
 
   workers_.reserve(config_.workers);
   Rng worker_seeds(config_.seed ^ salt::kRuntimeWorkerPool);
@@ -132,8 +139,10 @@ ExecutorResult Executor::run(const failure::FailurePlan& plan) {
 
   record_stats();
   long double sum_initial = 0.0L;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (alive_[slot] && participant_[slot]) sum_initial += estimates_[slot];
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    if (alive_[slot] && nodes_[slot].participating()) {
+      sum_initial += nodes_[slot].estimate();
+    }
   }
 
   apply_failures(0, plan);
@@ -177,10 +186,12 @@ ExecutorResult Executor::run(const failure::FailurePlan& plan) {
   result.per_cycle = std::move(per_cycle_);
   result.tracking_error = std::move(tracking_error_);
   long double sum_final = 0.0L;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (!alive_[slot] || !participant_[slot]) continue;
-    result.final_estimates.push_back(estimates_[slot]);
-    sum_final += estimates_[slot];
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    const proto::Node& node = nodes_[slot];
+    add_protocol(result.counters, node.stats());
+    if (!alive_[slot] || !node.participating()) continue;
+    result.final_estimates.push_back(node.estimate());
+    sum_final += node.estimate();
     ++result.participants;
   }
   result.sum_initial = static_cast<double>(sum_initial);
@@ -227,8 +238,19 @@ void Executor::run_cycle(Worker& w, std::uint32_t cycle) {
     }
     for (std::uint32_t u : w.wheel[s]) {
       if (!alive_[u]) continue;
-      if (config_.overlay == OverlayMode::kNewscast) initiate_newscast(w, u);
-      if (participant_[u]) initiate_aggregation(w, u);
+      proto::Node& node = nodes_[u];
+      if (config_.overlay == OverlayMode::kNewscast) {
+        const NodeId peer = node.view().sample(w.rng);
+        if (peer.is_valid()) {
+          send_message(w, u, peer, node.news_push(cycle_ + 1));
+        }
+      }
+      if (node.participating()) {
+        const NodeId peer = pick_peer(w, u);
+        if (const auto push = node.begin_exchange(peer)) {
+          send_message(w, u, peer, *push);
+        }
+      }
     }
     drain(w);
     if (failed_.load(std::memory_order_relaxed)) return;
@@ -323,56 +345,18 @@ void Executor::process(Worker& w, Frame&& frame) {
   w.counters.bytes_decoded += frame.payload.size();
   const proto::Message message = proto::decode(frame.payload);
   const std::uint32_t d = slot_of(frame.dst);
-
-  if (const auto* push = std::get_if<proto::AggPush>(&message)) {
-    w.counters.pushes_received++;
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else if (!participant_[d] || pending_req_[d] != 0) {
-      // Exchange atomicity (and joiners sitting out the epoch): refuse.
-      w.counters.busy_nacks++;
-      w.counters.replies_sent++;
-      send_message(w, d, frame.src,
-                   proto::AggReply{0, push->request_id, 0.0, true});
-    } else {
-      const double mine = estimates_[d];
-      w.counters.replies_sent++;
-      send_message(w, d, frame.src,
-                   proto::AggReply{0, push->request_id, mine, false});
-      estimates_[d] = core::AverageUpdate::apply(mine, push->value);
+  if (!alive_[d]) {
+    w.counters.dropped_dead++;
+    // A push delivered to a dead node still counts as received.
+    if (std::holds_alternative<proto::AggPush>(message)) {
+      w.counters.pushes_received++;
     }
-  } else if (const auto* reply = std::get_if<proto::AggReply>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else if (pending_req_[d] != 0 && pending_req_[d] == reply->request_id) {
-      pending_req_[d] = 0;
-      pending_peer_[d] = NodeId::invalid().value();
-      w.counters.replies_received++;
-      if (!reply->refused) {
-        estimates_[d] = core::AverageUpdate::apply(estimates_[d], reply->value);
-        w.counters.exchanges_completed++;
-      }
-    } else {
-      w.counters.late_replies++;
-    }
-  } else if (const auto* news = std::get_if<proto::NewsPush>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else {
-      proto::NewsReply answer;
-      const auto mine = caches_[d].entries();
-      answer.entries.assign(mine.begin(), mine.end());
-      answer.fresh = membership::CacheEntry(frame.dst, cycle_ + 1);
-      send_message(w, d, frame.src, answer);
-      caches_[d].merge(news->entries, news->fresh, frame.dst);
-    }
-  } else if (const auto* answer = std::get_if<proto::NewsReply>(&message)) {
-    if (!alive_[d]) {
-      w.counters.dropped_dead++;
-    } else {
-      caches_[d].merge(answer->entries, answer->fresh, frame.dst);
-      w.counters.news_exchanges++;
-    }
+    return;
+  }
+  // The reply is sent (and counted in flight) before this frame is
+  // released — the quiescence discipline.
+  if (const auto reply = nodes_[d].on_message(frame.src, message, cycle_ + 1)) {
+    send_message(w, d, frame.src, *reply);
   }
 }
 
@@ -384,29 +368,6 @@ void Executor::send_message(Worker& w, std::uint32_t from_slot, NodeId to,
   // A false return means the loss model ate it; the transport counts the
   // drop, and the pending (if any) resolves through quiescence/timeout.
   (void)transport_.send(NodeId(global_of(from_slot)), to, std::move(bytes));
-}
-
-void Executor::initiate_aggregation(Worker& w, std::uint32_t slot) {
-  const NodeId peer = pick_peer(w, slot);
-  if (!peer.is_valid() || peer.value() == global_of(slot)) return;
-  const std::uint64_t request_id =
-      (static_cast<std::uint64_t>(global_of(slot)) << 32) | (cycle_ + 1);
-  pending_req_[slot] = request_id;
-  pending_peer_[slot] = peer.value();
-  w.counters.pushes_sent++;
-  send_message(w, slot, peer, proto::AggPush{0, request_id, estimates_[slot]});
-}
-
-void Executor::initiate_newscast(Worker& w, std::uint32_t slot) {
-  if (caches_[slot].empty()) return;
-  const NodeId peer = caches_[slot].sample(w.rng);
-  if (!peer.is_valid() || peer.value() == global_of(slot)) return;
-  proto::NewsPush push;
-  const auto mine = caches_[slot].entries();
-  push.entries.assign(mine.begin(), mine.end());
-  push.fresh =
-      membership::CacheEntry(NodeId(global_of(slot)), cycle_ + 1);
-  send_message(w, slot, peer, push);
 }
 
 NodeId Executor::pick_peer(Worker& w, std::uint32_t slot) {
@@ -429,25 +390,25 @@ NodeId Executor::pick_peer(Worker& w, std::uint32_t slot) {
       return neighbors[w.rng.below(neighbors.size())];
     }
     case OverlayMode::kNewscast:
-      return caches_[slot].sample(w.rng);
+      return nodes_[slot].view().sample(w.rng);
   }
   return NodeId::invalid();
 }
 
 void Executor::expire_pendings(Worker& w, bool local_only) {
   for (std::uint32_t u : w.own) {
-    if (pending_req_[u] == 0) continue;
-    if (local_only && !transport_.is_local(NodeId(pending_peer_[u]))) continue;
-    pending_req_[u] = 0;
-    pending_peer_[u] = NodeId::invalid().value();
-    w.counters.timeouts++;
+    const auto& pending = nodes_[u].pending();
+    if (!pending) continue;
+    if (local_only && !transport_.is_local(pending->peer)) continue;
+    nodes_[u].on_timeout(pending->request_id);
   }
 }
 
 bool Executor::has_pending(const Worker& w, bool local_only) const {
   for (std::uint32_t u : w.own) {
-    if (pending_req_[u] == 0) continue;
-    if (local_only && !transport_.is_local(NodeId(pending_peer_[u]))) continue;
+    const auto& pending = nodes_[u].pending();
+    if (!pending) continue;
+    if (local_only && !transport_.is_local(pending->peer)) continue;
     return true;
   }
   return false;
@@ -506,22 +467,21 @@ void Executor::apply_failures(std::uint32_t cycle,
 
 void Executor::apply_drift(std::uint32_t cycle) {
   if (!config_.drift) return;
-  for (std::size_t slot = 0; slot < values_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
     if (!alive_[slot]) continue;
-    const double delta =
-        config_.drift(cycle, global_of(static_cast<std::uint32_t>(slot)));
-    values_[slot] += delta;
-    if (participant_[slot]) estimates_[slot] += delta;
+    nodes_[slot].drift(
+        config_.drift(cycle, global_of(static_cast<std::uint32_t>(slot))));
   }
 }
 
 void Executor::record_stats() {
   stats::RunningStats estimate_stats;
   stats::RunningStats value_stats;
-  for (std::size_t slot = 0; slot < estimates_.size(); ++slot) {
-    if (!alive_[slot] || !participant_[slot]) continue;
-    estimate_stats.add(estimates_[slot]);
-    value_stats.add(values_[slot]);
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    const proto::Node& node = nodes_[slot];
+    if (!alive_[slot] || !node.participating()) continue;
+    estimate_stats.add(node.estimate());
+    value_stats.add(node.local_value());
   }
   per_cycle_.push_back(estimate_stats);
   if (config_.drift) {
@@ -532,21 +492,21 @@ void Executor::record_stats() {
 
 void Executor::add_node(double value, bool participant,
                         std::uint32_t bootstrap_ts) {
-  const auto slot = static_cast<std::uint32_t>(estimates_.size());
-  estimates_.push_back(value);
-  values_.push_back(value);
+  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  const NodeId self(global_of(slot));
+  proto::ProtocolConfig protocol;
+  protocol.cache_size = config_.cache_size;
+  // The run is one epoch, which a joiner (joined during epoch 0) sits out.
+  nodes_.push_back(participant ? proto::Node(self, value, protocol)
+                               : proto::Node(self, value, protocol, 0));
   alive_.push_back(1);
-  participant_.push_back(participant ? 1 : 0);
-  pending_req_.push_back(0);
-  pending_peer_.push_back(NodeId::invalid().value());
   if (config_.overlay == OverlayMode::kNewscast) {
-    caches_.emplace_back(config_.cache_size);
     // Bootstrap with a few random peers so the node can gossip at once.
     // Initial nodes point anywhere in the global id space; churn joiners
     // (bootstrap_ts > 0) must name live local nodes, so draw from slots.
     const std::uint32_t fanout =
         std::min<std::uint32_t>(config_.cache_size, 8);
-    const std::uint32_t self = global_of(slot);
+    std::vector<membership::CacheEntry> view;
     for (std::uint32_t i = 0; i < fanout; ++i) {
       std::uint32_t peer;
       if (bootstrap_ts == 0) {
@@ -557,10 +517,9 @@ void Executor::add_node(double value, bool participant,
         if (!alive_[other]) continue;
         peer = global_of(other);
       }
-      if (peer == self) continue;
-      caches_.back().insert(
-          membership::CacheEntry(NodeId(peer), bootstrap_ts));
+      view.emplace_back(NodeId(peer), bootstrap_ts);
     }
+    nodes_.back().bootstrap_view(view);
   }
   Worker& w = *workers_[slot % config_.workers];
   w.own.push_back(slot);

@@ -6,10 +6,11 @@
 // Architecture: W worker threads each own a partition of the local nodes.
 // A per-worker timer wheel staggers each node's δ-cycle wakeup across
 // `wheel_slots` ticks; between ticks workers drain their ingress mailbox,
-// serving pushes, matching replies to pendings and holding delay-injected
-// frames until their deadline — all non-blocking. Exchange atomicity is
-// the busy-NACK rule of the event stack: a node whose own push is in
-// flight refuses incoming pushes.
+// handing each frame to its proto::Node and holding delay-injected frames
+// until their deadline — all non-blocking. The protocol itself is the
+// shared sans-I/O node that the event driver's proto::World also hosts,
+// so exchange atomicity is its busy-NACK rule: a node whose own push is
+// in flight refuses incoming pushes with a NACK.
 //
 // Cycle closure is quiescence-based, which makes timeouts loss-exact: a
 // global in-flight frame counter follows the strict discipline "a reply
@@ -25,9 +26,10 @@
 // The executor runs one cycle-stepped epoch: between cycles a driver
 // thread applies the failure plan (kills/joins), the drift stream and
 // records per-cycle estimate statistics, exactly like the simulators —
-// which is what makes the runtime_vs_sim cross-check meaningful. Runs are
-// wall-clock concurrent and NOT bit-deterministic; tests assert protocol
-// invariants (conservation, convergence), never goldens.
+// which is what makes the runtime_vs_sim cross-check meaningful. Runs with
+// several workers are wall-clock concurrent and NOT bit-deterministic;
+// their tests assert protocol invariants (conservation, convergence). A
+// one-worker loopback run handles every frame in one order and is pinned.
 #pragma once
 
 #include <atomic>
@@ -44,9 +46,8 @@
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "failure/failure_plan.hpp"
-#include "membership/newscast_cache.hpp"
 #include "overlay/graph.hpp"
-#include "proto/messages.hpp"
+#include "proto/node.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/transport.hpp"
 #include "stats/running_stats.hpp"
@@ -140,8 +141,6 @@ private:
   void process(Worker& w, Frame&& frame);
   void send_message(Worker& w, std::uint32_t from_slot, NodeId to,
                     const proto::Message& message);
-  void initiate_aggregation(Worker& w, std::uint32_t slot);
-  void initiate_newscast(Worker& w, std::uint32_t slot);
   [[nodiscard]] NodeId pick_peer(Worker& w, std::uint32_t slot);
   void expire_pendings(Worker& w, bool local_only);
   [[nodiscard]] bool has_pending(const Worker& w, bool local_only) const;
@@ -158,13 +157,8 @@ private:
 
   // Node state, indexed by local slot. Mutated by the owning worker
   // during a cycle and by the driver between barriers only.
-  std::vector<double> estimates_;
-  std::vector<double> values_;
+  std::vector<proto::Node> nodes_;
   std::vector<char> alive_;
-  std::vector<char> participant_;
-  std::vector<std::uint64_t> pending_req_;
-  std::vector<std::uint32_t> pending_peer_;
-  std::vector<membership::NewscastCache> caches_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::int64_t> in_flight_{0};

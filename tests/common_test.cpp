@@ -170,8 +170,8 @@ TEST(Rng, SampleDistinctFullRange) {
 
 // Exact output and stream consumption on both sides of the scan/hash
 // threshold: k=30 is the NEWSCAST bootstrap's draw, k=1000 a COUNT
-// leader draw. The event engine has no bit-exact golden, so these pins
-// are what catches a change of order there.
+// leader draw. These pin the order directly; the event engine's own
+// golden (ScenarioGolden.ablation_atomicity) sees it only through a CSV.
 TEST(Rng, SampleDistinctPinnedOnBothSidesOfScanLimit) {
   static_assert(30 <= Rng::kSampleScanLimit && 1000 > Rng::kSampleScanLimit);
   Rng small(1);

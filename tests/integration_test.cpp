@@ -112,30 +112,77 @@ TEST(Integration, JoinWaveAdoptsRunningSystem) {
 }
 
 TEST(Integration, WireFormatCarriesTheProtocol) {
-  // Encode→decode every message an exchange produces and feed the decoded
-  // copy to the peer: the protocol must behave identically.
-  sim::EventLoop loop;
-  net::Network<proto::Message> network(
-      loop, std::make_unique<net::FixedLatency>(10), 0.0, Rng(1));
+  // Hand the encode→decode copy of every message a node returns straight
+  // to its peer: the protocol must behave identically over the wire.
   proto::ProtocolConfig pcfg;
   pcfg.cache_size = 4;
-  proto::Node a(NodeId(0), 4.0, pcfg, loop, network, Rng(2));
-  proto::Node b(NodeId(1), 2.0, pcfg, loop, network, Rng(3));
-  network.register_node(NodeId(0), [&a](NodeId from, const proto::Message& m) {
-    a.on_message(from, proto::decode(proto::encode(m)));
-  });
-  network.register_node(NodeId(1), [&b](NodeId from, const proto::Message& m) {
-    b.on_message(from, proto::decode(proto::encode(m)));
-  });
+  proto::Node a(NodeId(0), 4.0, pcfg);
+  proto::Node b(NodeId(1), 2.0, pcfg);
   a.bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(1), 0}});
   b.bootstrap_view(std::vector<membership::CacheEntry>{{NodeId(0), 0}});
-  a.start();
-  b.start();
-  loop.run_until(5'000'000);  // 5 cycles
+  const auto wire = [](const proto::Message& m) {
+    return proto::decode(proto::encode(m));
+  };
+  for (std::uint64_t now = 1; now <= 5; ++now) {  // 5 cycles, turns alternate
+    proto::Node& active = now % 2 == 1 ? a : b;
+    proto::Node& passive = now % 2 == 1 ? b : a;
+    const auto news =
+        passive.on_message(active.id(), wire(active.news_push(now)), now);
+    ASSERT_TRUE(news.has_value());
+    EXPECT_FALSE(active.on_message(passive.id(), wire(*news), now));
+    const auto push = active.begin_exchange(passive.id());
+    ASSERT_TRUE(push.has_value());
+    const auto reply = passive.on_message(active.id(), wire(*push), now);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_FALSE(active.on_message(passive.id(), wire(*reply), now));
+  }
   EXPECT_NEAR(a.estimate(), 3.0, 1e-12);
   EXPECT_NEAR(b.estimate(), 3.0, 1e-12);
   EXPECT_GT(a.stats().exchanges_completed + b.stats().exchanges_completed,
             0u);
+  EXPECT_EQ(a.view().entries()[0], (membership::CacheEntry{NodeId(1), 5}));
+  EXPECT_EQ(b.view().entries()[0], (membership::CacheEntry{NodeId(0), 5}));
+}
+
+TEST(Integration, EventDriverRunIsOneEpoch) {
+  // The event driver runs one epoch, like every other driver: no node's
+  // epoch restart may re-initialize its estimate inside the run window,
+  // even when the run ends right after every node's γ-th cycle began.
+  experiment::Engine engine;
+  for (const std::uint32_t cycles : {30u, 31u}) {
+    SCOPED_TRACE(cycles);
+    experiment::ScenarioSpec spec =
+        experiment::ScenarioSpec::average_peak("ev", 1000, cycles)
+            .with_driver(experiment::DriverKind::kEvent)
+            .with_seed(3);
+    experiment::validate(spec);
+    const auto run = engine.run_single(spec, spec.seed);
+    ASSERT_EQ(run.per_cycle.size(), cycles + 1);
+    EXPECT_LT(run.per_cycle.back().variance(), 1e-6);
+    EXPECT_LT(run.sizes.variance, 1e-6);
+  }
+}
+
+TEST(Integration, EventDriverStartsFromTheSharedInitialValues) {
+  // Every driver starts a scalar workload from initial_values(spec, seed),
+  // so the event and cycle drivers record the same initial distribution.
+  experiment::ScenarioSpec event =
+      experiment::ScenarioSpec::average_peak("init", 500, 5)
+          .with_init(experiment::InitKind::kExponential)
+          .with_driver(experiment::DriverKind::kEvent)
+          .with_seed(4);
+  experiment::ScenarioSpec cycle = event;
+  cycle.driver = experiment::DriverKind::kCycle;
+  experiment::validate(event);
+  experiment::validate(cycle);
+  experiment::Engine engine;
+  const auto ev = engine.run_single(event, event.seed);
+  const auto cy = engine.run_single(cycle, cycle.seed);
+  ASSERT_FALSE(ev.per_cycle.empty());
+  EXPECT_EQ(ev.per_cycle.front().count(), 500u);
+  EXPECT_DOUBLE_EQ(ev.per_cycle.front().mean(), cy.per_cycle.front().mean());
+  EXPECT_DOUBLE_EQ(ev.per_cycle.front().variance(),
+                   cy.per_cycle.front().variance());
 }
 
 TEST(Integration, CycleAndEventEnginesAgreeOnCountAccuracy) {

@@ -1,4 +1,6 @@
-// Tests for src/proto: the event-driven "practical protocol" of §4 —
+// Tests for src/proto: the sans-I/O node of §4's "practical protocol"
+// driven directly (NACKs, join gating, stale epochs, late replies, the
+// non-atomic ablation), then hosted by the event-driven World —
 // convergence under real delays, timeouts against crashed peers, epoch
 // restart and epidemic epoch synchronization, join gating, the
 // 1+Poisson(1) exchange distribution, and agreement with the cycle
@@ -15,6 +17,128 @@
 
 namespace gossip::proto {
 namespace {
+
+// ---- the node alone: no loop, no network ---------------------------------
+
+ProtocolConfig node_config(std::uint32_t cycles_per_epoch = 30) {
+  ProtocolConfig cfg;
+  cfg.cycles_per_epoch = cycles_per_epoch;
+  cfg.cache_size = 4;
+  return cfg;
+}
+
+/// The aggregation reply a node returned (throws if it returned another).
+AggReply agg_reply(const std::optional<Message>& message) {
+  GOSSIP_REQUIRE(message.has_value(), "node returned no reply");
+  return std::get<AggReply>(*message);
+}
+
+TEST(ProtoNode, PendingNodeNacksAndTheNackFreesTheInitiator) {
+  Node a(NodeId(0), 4.0, node_config());
+  Node b(NodeId(1), 2.0, node_config());
+  ASSERT_TRUE(b.begin_exchange(NodeId(2)));  // b's own exchange is pending
+  const auto push = a.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  const AggReply nack = agg_reply(b.on_message(NodeId(0), *push, 0));
+  EXPECT_TRUE(nack.refused);
+  EXPECT_EQ(b.estimate(), 2.0);
+  EXPECT_EQ(b.stats().busy_nacks, 1u);
+  EXPECT_FALSE(a.on_message(NodeId(1), nack, 0));
+  // The initiator is free at once: no timeout, no estimate change, and it
+  // may start its next exchange right away.
+  EXPECT_FALSE(a.pending());
+  EXPECT_EQ(a.estimate(), 4.0);
+  EXPECT_EQ(a.stats().replies_received, 1u);
+  EXPECT_EQ(a.stats().timeouts, 0u);
+  EXPECT_TRUE(a.begin_exchange(NodeId(2)));
+}
+
+TEST(ProtoNode, JoinerNacksTheEpochItSitsOutAndServesTheNext) {
+  Node founder(NodeId(0), 4.0, node_config(2));
+  Node joiner(NodeId(1), 2.0, node_config(2), /*contact_epoch=*/0);
+  EXPECT_FALSE(joiner.participating());
+  EXPECT_FALSE(joiner.begin_exchange(NodeId(0)));
+  auto push = founder.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  const AggReply nack = agg_reply(joiner.on_message(NodeId(0), *push, 0));
+  EXPECT_TRUE(nack.refused);
+  EXPECT_EQ(joiner.stats().busy_nacks, 1u);
+  founder.on_message(NodeId(1), nack, 0);
+  EXPECT_EQ(founder.estimate(), 4.0);
+  EXPECT_EQ(joiner.estimate(), 2.0);
+
+  for (int c = 0; c < 2; ++c) {  // both roll into epoch 1
+    founder.end_cycle();
+    joiner.end_cycle();
+  }
+  EXPECT_EQ(founder.epoch(), 1u);
+  EXPECT_TRUE(joiner.participating());
+  push = founder.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  const AggReply reply = agg_reply(joiner.on_message(NodeId(0), *push, 0));
+  EXPECT_FALSE(reply.refused);
+  founder.on_message(NodeId(1), reply, 0);
+  EXPECT_EQ(founder.estimate(), 3.0);
+  EXPECT_EQ(joiner.estimate(), 3.0);
+}
+
+TEST(ProtoNode, StalePushIsRefusedWithTheNewerEpochWhichTheInitiatorAdopts) {
+  Node laggard(NodeId(0), 4.0, node_config(2));
+  Node ahead(NodeId(1), 2.0, node_config(2));
+  ahead.end_cycle();
+  ahead.end_cycle();
+  ASSERT_EQ(ahead.epoch(), 1u);
+  laggard.end_cycle();  // one cycle into epoch 0
+  const auto push = laggard.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  EXPECT_EQ(push->epoch, 0u);
+  const AggReply refusal = agg_reply(ahead.on_message(NodeId(0), *push, 0));
+  EXPECT_TRUE(refusal.refused);
+  EXPECT_EQ(refusal.epoch, 1u);
+  EXPECT_EQ(ahead.stats().refusals_sent, 1u);
+  EXPECT_EQ(ahead.estimate(), 2.0);
+  laggard.on_message(NodeId(1), refusal, 0);
+  EXPECT_EQ(laggard.epoch(), 1u);
+  EXPECT_EQ(laggard.stats().epochs_adopted, 1u);
+  EXPECT_FALSE(laggard.pending());
+  // The preempted epoch reported its estimate (§4.1).
+  EXPECT_EQ(laggard.last_report(), 4.0);
+}
+
+TEST(ProtoNode, ReplyAfterTimeoutIsLateAndChangesNoEstimate) {
+  Node a(NodeId(0), 4.0, node_config());
+  Node b(NodeId(1), 2.0, node_config());
+  const auto push = a.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  const auto reply = b.on_message(NodeId(0), *push, 0);
+  ASSERT_TRUE(reply);
+  a.on_timeout(push->request_id);
+  EXPECT_EQ(a.stats().timeouts, 1u);
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(a.on_message(NodeId(1), *reply, 0));
+  EXPECT_EQ(a.estimate(), 4.0);
+  EXPECT_EQ(a.stats().late_replies, 1u);
+  EXPECT_EQ(a.stats().exchanges_completed, 0u);
+  a.on_timeout(push->request_id);  // a stale timer is a no-op
+  EXPECT_EQ(a.stats().timeouts, 1u);
+}
+
+TEST(ProtoNode, NonAtomicPendingNodeServesThePush) {
+  ProtocolConfig cfg = node_config();
+  cfg.atomic_exchanges = false;
+  Node a(NodeId(0), 4.0, cfg);
+  Node b(NodeId(1), 2.0, cfg);
+  ASSERT_TRUE(b.begin_exchange(NodeId(2)));
+  const auto push = a.begin_exchange(NodeId(1));
+  ASSERT_TRUE(push);
+  const AggReply reply = agg_reply(b.on_message(NodeId(0), *push, 0));
+  EXPECT_FALSE(reply.refused);
+  EXPECT_EQ(reply.value, 2.0);
+  EXPECT_EQ(b.estimate(), 3.0);
+  EXPECT_EQ(b.stats().busy_nacks, 0u);
+}
+
+// ---- hosted by the event-driven world -----------------------------------
 
 WorldConfig small_world(std::uint32_t n, std::uint64_t seed) {
   WorldConfig cfg;
@@ -72,7 +196,7 @@ TEST(ProtoWorld, ExchangeCountIsOnePlusPoissonOne) {
   for (std::uint32_t u = 0; u < w.size(); ++u) {
     const auto& st = w.node(NodeId(u)).stats();
     received.add(static_cast<double>(st.pushes_received) / 20.0);
-    initiated.add(static_cast<double>(st.exchanges_initiated) / 20.0);
+    initiated.add(static_cast<double>(st.pushes_sent) / 20.0);
   }
   EXPECT_NEAR(initiated.mean(), 1.0, 0.06);  // exactly one per cycle
   EXPECT_NEAR(received.mean(), 1.0, 0.05);

@@ -3,12 +3,15 @@
 // loss-exact quiescence discipline (no timeout and no late reply ever
 // happens without real loss), liveness under injected loss, N >= 1000 on
 // the Engine path in one process, and a two-process socket run hosted on
-// two threads. Runs are wall-clock concurrent and not bit-deterministic,
-// so every assertion is a protocol invariant, never a golden.
+// two threads. Runs with several workers are wall-clock concurrent and not
+// bit-deterministic, so their assertions are protocol invariants; one-worker
+// loopback runs are repeatable and pinned exactly.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -198,6 +201,78 @@ TEST(Executor, TwoProcessSocketRunConservesCombinedSum) {
   // Frames actually crossed the socket: each side completed exchanges and
   // the peak (held by node 0, process 0) reached the other half.
   EXPECT_GT(results[1].sum_final, 1.0);
+}
+
+/// Every RuntimeCounters field, the conservation pair and the final
+/// variance of a run, at full precision.
+std::string runtime_digest(const RunResult& r) {
+  const RuntimeCounters& c = r.runtime_counters;
+  std::ostringstream out;
+  out.precision(17);
+  out << "pushes_sent=" << c.pushes_sent
+      << " pushes_received=" << c.pushes_received
+      << " replies_sent=" << c.replies_sent
+      << " replies_received=" << c.replies_received
+      << " busy_nacks=" << c.busy_nacks << " timeouts=" << c.timeouts
+      << " late_replies=" << c.late_replies
+      << " exchanges_completed=" << c.exchanges_completed
+      << " news_exchanges=" << c.news_exchanges
+      << " dropped_loss=" << c.dropped_loss
+      << " dropped_dead=" << c.dropped_dead
+      << " messages_sent=" << c.messages_sent
+      << " messages_received=" << c.messages_received
+      << " bytes_encoded=" << c.bytes_encoded
+      << " bytes_decoded=" << c.bytes_decoded
+      << " sum_initial=" << r.runtime_sum_initial
+      << " sum_final=" << r.runtime_sum_final
+      << " variance=" << r.per_cycle.back().variance();
+  return out.str();
+}
+
+// With one worker on loopback every frame is handled in one order, so a
+// run is a pure function of its spec: pin the whole outcome of two small
+// shapes (NEWSCAST under churn and drift; a static overlay under crashes
+// and loss). A change to the node or the executor that moves any counter
+// shows here.
+TEST(Executor, OneWorkerLoopbackRunsArePinned) {
+  ScenarioSpec churn = ScenarioSpec::average_peak("golden_churn", 1000, 20)
+                           .with_driver(DriverKind::kRuntime)
+                           .with_seed(17)
+                           .with_failure(experiment::FailureSpec::churn(10))
+                           .with_drift(experiment::DriftSpec::linear(0.01));
+  ScenarioSpec crash =
+      ScenarioSpec::average_peak("golden_crash", 1000, 20)
+          .with_driver(DriverKind::kRuntime)
+          .with_seed(19)
+          .with_init(experiment::InitKind::kUniform)
+          .with_topology(experiment::TopologyConfig::random_k_out(20))
+          .with_failure(experiment::FailureSpec::proportional_crash(0.02))
+          .with_comm({0.0, 0.05});
+  const std::pair<ScenarioSpec*, const char*> goldens[] = {
+      {&churn,
+       "pushes_sent=18054 pushes_received=18054 replies_sent=17647 "
+       "replies_received=17647 busy_nacks=2908 timeouts=407 late_replies=0 "
+       "exchanges_completed=14739 news_exchanges=19564 dropped_loss=0 "
+       "dropped_dead=843 messages_sent=75265 messages_received=75265 "
+       "bytes_encoded=15345416 bytes_decoded=15345416 sum_initial=1000 "
+       "sum_final=993.7641363636526 variance=8.5330986222248271e-06"},
+      {&crash,
+       "pushes_sent=16366 pushes_received=15574 replies_sent=12906 "
+       "replies_received=12313 busy_nacks=3010 timeouts=4053 late_replies=0 "
+       "exchanges_completed=9428 news_exchanges=0 dropped_loss=1385 "
+       "dropped_dead=2668 messages_sent=29272 messages_received=27887 "
+       "bytes_encoded=744706 bytes_decoded=709488 "
+       "sum_initial=973.77599715925123 sum_final=659.44790902194427 "
+       "variance=3.1627487146356306e-06"},
+  };
+  experiment::Engine engine;
+  for (const auto& [spec, expected] : goldens) {
+    SCOPED_TRACE(spec->name);
+    spec->runtime.workers = 1;
+    experiment::validate(*spec);
+    EXPECT_EQ(runtime_digest(engine.run_single(*spec, spec->seed)),
+              expected);
+  }
 }
 
 // Config validation: the executor rejects malformed shapes up front.

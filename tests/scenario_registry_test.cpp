@@ -375,7 +375,7 @@ TEST(ScenarioGolden, fig08b_giant) {
 TEST(ScenarioGolden, ablation_atomicity) {
   EXPECT_EQ(scenario_csv("ablation_atomicity", kGoldenScale),
             R"csv(atomic,mean_final,mean_err,worst_rep_err
-on,1.00000,2.62e-07,4.20e-07
+on,1.00000,3.47e-08,7.68e-08
 off,1.01213,1.21e-02,1.57e-02
 )csv");
 }

@@ -602,8 +602,8 @@ TEST(SpecValidation, DriversRejectFieldsTheyWouldSilentlyDrop) {
   ev.topology = TopologyConfig::random_k_out(20);  // event ignores topology
   EXPECT_THROW(validate(ev), SpecError);
   ev.topology = TopologyConfig{};
-  ev.init = InitKind::kUniform;  // event world seeds its own values
-  EXPECT_THROW(validate(ev), SpecError);
+  ev.init = InitKind::kUniform;  // every driver starts from initial_values
+  EXPECT_NO_THROW(validate(ev));
 }
 
 // ------------------------------------------------------------ overrides
