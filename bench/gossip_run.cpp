@@ -167,7 +167,9 @@ int run_registered(const std::string& name,
   }
   if (format == OutputFormat::kTable) {
     print_banner(std::cout, def->info.figure, def->info.description,
-                 scale_note(scale, def->info.paper_setup));
+                 {scale_note(scale, def->info.paper_setup),
+                  "(GOSSIP_FULL=1 for paper scale; GOSSIP_N / GOSSIP_REPS / "
+                  "GOSSIP_SEED override)"});
   }
   ScenarioOutput out = run_scenario(*def, scale, options);
   render_scenario(std::cout, name, out.table, out.trailer, out.results,
@@ -215,10 +217,10 @@ int run_spec_file(const std::string& path,
     print_banner(std::cout, spec.name,
                  spec.title.empty() ? "declarative scenario spec"
                                     : spec.title,
-                 "nodes=" + std::to_string(spec.nodes) +
-                     ", reps=" + std::to_string(spec.reps) +
-                     ", seed=" + std::to_string(spec.seed) +
-                     ", engine=" + to_string(result.engine.kind));
+                 {"nodes=" + std::to_string(spec.nodes) +
+                  ", reps=" + std::to_string(spec.reps) +
+                  ", seed=" + std::to_string(spec.seed) +
+                  ", engine=" + to_string(result.engine.kind)});
   }
   render_scenario(std::cout, spec.name, table, "", {result}, format,
                   /*full_scale=*/false);

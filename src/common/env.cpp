@@ -12,26 +12,6 @@ std::optional<std::string> env_string(const std::string& name) {
   return std::string(raw);
 }
 
-std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
-  const auto raw = env_string(name);
-  if (!raw) return fallback;
-  try {
-    return std::stoull(*raw);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-double env_double(const std::string& name, double fallback) {
-  const auto raw = env_string(name);
-  if (!raw) return fallback;
-  try {
-    return std::stod(*raw);
-  } catch (...) {
-    return fallback;
-  }
-}
-
 namespace {
 
 /// Strict decimal parse shared by the checked knobs; empty optional on
@@ -91,15 +71,6 @@ bool env_flag_strict(const std::string& name) {
   }
   throw EnvError(name + ": expected a boolean (1/0/true/false/on/off), got '" +
                  *raw + "'");
-}
-
-bool env_flag(const std::string& name) {
-  auto raw = env_string(name);
-  if (!raw) return false;
-  std::string lowered = *raw;
-  std::transform(lowered.begin(), lowered.end(), lowered.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return lowered != "0" && lowered != "false" && lowered != "off";
 }
 
 }  // namespace gossip

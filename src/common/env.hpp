@@ -24,15 +24,6 @@ public:
 /// Raw environment lookup; empty optional when unset.
 std::optional<std::string> env_string(const std::string& name);
 
-/// Integer environment variable, or `fallback` when unset/unparsable.
-std::uint64_t env_u64(const std::string& name, std::uint64_t fallback);
-
-/// Floating-point environment variable, or `fallback` when unset/unparsable.
-double env_double(const std::string& name, double fallback);
-
-/// Boolean knob: unset/"0"/"false"/"off" => false, anything else => true.
-bool env_flag(const std::string& name);
-
 // ---- strict knob parsing (the spec-resolution layer) -------------------
 //
 // The engine facade resolves GOSSIP_THREADS / GOSSIP_SHARDS / GOSSIP_FULL

@@ -185,7 +185,11 @@ Table generic_table(const ScenarioResult& result) {
                                : to_string(result.spec.sweep.axis);
   Table table({axis, "est_mean", "est_min", "est_max", "mean_factor",
                "participants"});
-  for (const PointResult& point : result.points) {
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const PointResult& point = result.points[i];
+    // A cycles sweep runs each point for its own count: that is the
+    // factor's window.
+    const std::uint32_t cycles = result.spec.at_point(i).cycles;
     stats::RunningStats means;
     stats::RunningStats factors;
     std::uint32_t participants = 0;
@@ -195,7 +199,7 @@ Table generic_table(const ScenarioResult& result) {
                              : rep.per_cycle.back().mean();
       means.add(est);
       if (!rep.tracker.variances().empty()) {
-        factors.add(rep.tracker.mean_factor(result.spec.cycles));
+        factors.add(rep.tracker.mean_factor(cycles));
       }
       participants = rep.participants;
     }

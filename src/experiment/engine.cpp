@@ -29,13 +29,6 @@ namespace {
 /// large — a single smaller repetition is faster serial than sharded.
 constexpr std::uint32_t kIntraRepAutoThreshold = 500'000;
 
-bool intra_rep_eligible(const ScenarioSpec& spec) {
-  // The intra-rep engine now speaks the full cycle-driver workload
-  // vocabulary (AVERAGE, COUNT, multi-instance); only the driver gates
-  // eligibility.
-  return spec.driver == DriverKind::kCycle;
-}
-
 SimConfig sim_config_of(const ScenarioSpec& spec) {
   SimConfig cfg;
   cfg.nodes = spec.nodes;
@@ -323,6 +316,14 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   return out;
 }
 
+/// validate() on `spec` as the Engine runs it: with the resolved engine
+/// in place of the spec's own, so an EngineOptions override (the CLI's
+/// --set engine=…) meets the same rules as the spec's engine field.
+void validate_as_run(ScenarioSpec spec, EngineKind kind) {
+  spec.engine = kind;
+  validate(spec);
+}
+
 }  // namespace
 
 ResolvedEngine resolve_engine(const ScenarioSpec& spec,
@@ -346,7 +347,7 @@ ResolvedEngine resolve_engine(const ScenarioSpec& spec,
       kind = EngineKind::kSerial;
     } else if (spec.reps > 1) {
       kind = EngineKind::kRepParallel;
-    } else if (intra_rep_eligible(spec) &&
+    } else if (spec.driver == DriverKind::kCycle &&
                spec.sweep.points.size() <= 1 &&
                spec.nodes >= kIntraRepAutoThreshold) {
       // Only single-point specs: a sweep series must stay engine-uniform
@@ -356,25 +357,6 @@ ResolvedEngine resolve_engine(const ScenarioSpec& spec,
     } else {
       kind = EngineKind::kSerial;
     }
-  }
-  if (spec.driver == DriverKind::kRuntime && kind != EngineKind::kSerial) {
-    throw SpecError("spec: driver 'runtime' runs on engine 'serial' (the "
-                    "executor owns its own worker pool), got engine '" +
-                    to_string(kind) + "'");
-  }
-  if (kind == EngineKind::kIntraRep && !intra_rep_eligible(spec)) {
-    throw SpecError("spec: engine 'intra_rep' requires driver 'cycle', "
-                    "got driver '" +
-                    to_string(spec.driver) + "'");
-  }
-  if (kind != EngineKind::kIntraRep && spec.match_rounds > 1) {
-    // validate() checks spec.engine, but a CLI --set engine=… override
-    // lands here with a different resolved kind — rejecting it keeps
-    // match_rounds from being silently dropped and the series
-    // mislabeled.
-    throw SpecError("spec: match_rounds > 1 requires engine 'intra_rep', "
-                    "but the resolved engine is '" +
-                    to_string(kind) + "' (no match phase)");
   }
   r.kind = kind;
   return r;
@@ -396,6 +378,7 @@ ParallelRunner& Engine::pool_for(unsigned threads, std::size_t max_jobs) {
 RunResult Engine::run_single(const ScenarioSpec& spec, std::uint64_t raw_seed,
                              const failure::FailurePlan* plan_override) {
   const ResolvedEngine re = resolve_engine(spec, options_);
+  validate_as_run(spec, re.kind);
   switch (spec.driver) {
     case DriverKind::kEvent:
       return exec_event(spec, raw_seed);
@@ -418,9 +401,10 @@ std::vector<RunResult> Engine::run_point(const ScenarioSpec& spec,
   validate(spec);
   const ScenarioSpec point_spec = spec.at_point(index);
   const ResolvedEngine re = resolve_point(spec, index);
+  validate_as_run(point_spec, re.kind);
   const std::uint64_t point_id = spec.sweep.points[index].seed_point;
 
-  if (re.kind == EngineKind::kIntraRep && spec.driver == DriverKind::kCycle) {
+  if (re.kind == EngineKind::kIntraRep) {
     // The parallelism lives *inside* each repetition; reps run in order.
     ParallelRunner& pool =
         pool_for(std::min(re.threads, re.shards), re.shards);

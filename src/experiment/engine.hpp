@@ -4,8 +4,11 @@
 // domain-decomposed intra-rep mode — resolves the GOSSIP_THREADS /
 // GOSSIP_SHARDS knobs (strictly: malformed or zero values stop the run
 // with a one-line error), and returns one unified RunResult shape for
-// all drivers: the cycle simulator, the event-driven world and the
-// push-sum baseline.
+// all drivers: the cycle simulator, the event-driven world, the
+// push-sum baseline and the deployment runtime (runtime::Executor).
+// Before it runs a point it validates that point's spec with the
+// resolved engine written in, so an engine override meets the same
+// rules as the spec's own engine field.
 //
 // Engine selection with `auto`:
 //   reps > 1                 → rep_parallel (bit-identical to serial for
@@ -106,7 +109,8 @@ struct ResolvedEngine {
 
 /// Resolves spec + options + environment into a concrete engine choice.
 /// Throws EnvError (via runner_threads/runner_shards) on malformed
-/// GOSSIP_THREADS / GOSSIP_SHARDS.
+/// GOSSIP_THREADS / GOSSIP_SHARDS. It checks nothing else: the Engine
+/// validates the spec with the resolved kind before it runs.
 ResolvedEngine resolve_engine(const ScenarioSpec& spec,
                               const EngineOptions& options = {});
 
@@ -137,7 +141,8 @@ public:
   ScenarioResult run(const ScenarioSpec& spec);
 
   /// All `spec.reps` repetitions of sweep point `index`, in rep order —
-  /// bit-identical for any thread count.
+  /// bit-identical for any thread count. Throws SpecError if the point's
+  /// spec, with the resolved engine, fails validate().
   std::vector<RunResult> run_point(const ScenarioSpec& spec,
                                    std::size_t index);
 
@@ -146,6 +151,8 @@ public:
   /// rep_seed internally). `plan_override`, when non-null, replaces the
   /// spec's declarative failure plan — the hook for bespoke plans in
   /// tests and studies that the FailureSpec vocabulary cannot express.
+  /// Throws SpecError if `spec`, with the resolved engine, fails
+  /// validate().
   RunResult run_single(const ScenarioSpec& spec, std::uint64_t raw_seed,
                        const failure::FailurePlan* plan_override = nullptr);
 

@@ -205,6 +205,15 @@ ScenarioSpec& ScenarioSpec::with_seed_point(std::uint64_t seed_point) {
   return *this;
 }
 
+namespace {
+
+/// The suffix every per-point SpecError ends with.
+std::string at_sweep_point(double value) {
+  return " at sweep point " + std::to_string(value);
+}
+
+}  // namespace
+
 ScenarioSpec ScenarioSpec::at_point(std::size_t index) const {
   if (index >= sweep.points.size()) {
     throw SpecError("spec: sweep point index " + std::to_string(index) +
@@ -214,24 +223,38 @@ ScenarioSpec ScenarioSpec::at_point(std::size_t index) const {
   ScenarioSpec s = *this;
   const SweepPoint& pt = sweep.points[index];
   const double v = pt.value;
+  // The casts below are defined only inside these ranges. Every other
+  // rule on a point is its field's own, which validate() checks on the
+  // spec this returns.
+  const auto in_range = [&](double hi, const char* range) {
+    if (!(v >= 0.0 && v <= hi)) {
+      throw SpecError("spec: sweep axis '" + to_string(sweep.axis) +
+                      "' takes values in " + range + at_sweep_point(v));
+    }
+    return v;
+  };
+  const auto u32 = [&] {
+    return static_cast<std::uint32_t>(
+        in_range(4294967295.0, "[0,4294967295]"));
+  };
   switch (sweep.axis) {
     case SweepAxis::kNone:
       break;
     case SweepAxis::kNodes:
-      s.nodes = static_cast<std::uint32_t>(v);
+      s.nodes = u32();
       break;
     case SweepAxis::kBeta:
       s.topology.beta = v;
       break;
     case SweepAxis::kCacheSize:
-      s.topology.cache_size = static_cast<std::size_t>(v);
+      s.topology.cache_size = u32();
       break;
     case SweepAxis::kCrashP:
       s.failure = FailureSpec::proportional_crash(v);
       break;
     case SweepAxis::kDeathCycle:
       s.failure.kind = FailureSpec::Kind::kSuddenDeath;
-      s.failure.cycle = static_cast<std::uint32_t>(v);
+      s.failure.cycle = u32();
       break;
     case SweepAxis::kChurnFraction:
       s.failure.kind = FailureSpec::Kind::kChurnFraction;
@@ -244,25 +267,27 @@ ScenarioSpec ScenarioSpec::at_point(std::size_t index) const {
       s.comm.message_loss = v;
       break;
     case SweepAxis::kInstances:
-      s.instances = static_cast<std::uint32_t>(v);
+      s.instances = u32();
       break;
     case SweepAxis::kCycles:
-      s.cycles = static_cast<std::uint32_t>(v);
+      s.cycles = u32();
       break;
     case SweepAxis::kInit:
-      s.init = static_cast<InitKind>(static_cast<int>(v));
+      s.init = static_cast<InitKind>(static_cast<int>(
+          in_range(static_cast<double>(InitKind::kExponential),
+                   "0..3 (peak/uniform/bimodal/exponential)")));
       break;
     case SweepAxis::kAtomicity:
-      s.atomic_exchanges = v != 0.0;
+      s.atomic_exchanges = in_range(1.0, "[0,1] (0 off, else on)") != 0.0;
       break;
     case SweepAxis::kByzFraction:
       s.adversary.fraction = v;
       break;
     case SweepAxis::kPartitionComponents:
-      s.failure.components = static_cast<std::uint32_t>(v);
+      s.failure.components = u32();
       break;
     case SweepAxis::kPartitionDuration:
-      s.failure.duration = static_cast<std::uint32_t>(v);
+      s.failure.duration = u32();
       break;
   }
   s.sweep.axis = sweep.axis;
@@ -681,7 +706,10 @@ ScenarioSpec spec_from_json(const std::string& text) {
 
 // ------------------------------------------------------------ validation
 
-void validate(const ScenarioSpec& spec) {
+namespace {
+
+/// Every field rule, on one spec as it runs (a sweep point folded in).
+void validate_fields(const ScenarioSpec& spec) {
   const auto fail = [](const std::string& message) {
     throw SpecError("spec: " + message);
   };
@@ -770,6 +798,9 @@ void validate(const ScenarioSpec& spec) {
       fail("failure.duration must be >= 1 for partition, got " +
            std::to_string(spec.failure.duration));
     }
+  } else if (spec.failure.components != 0 || spec.failure.duration != 0) {
+    fail("failure.components and failure.duration are only meaningful for "
+         "kind 'partition'; leave them at 0");
   }
   if (spec.failure.kind == FailureSpec::Kind::kRestart) {
     if (spec.failure.cycle < 1) {
@@ -932,118 +963,6 @@ void validate(const ScenarioSpec& spec) {
     fail("comm.message_loss must be a probability in [0,1], got " +
          std::to_string(spec.comm.message_loss));
   }
-  if (spec.sweep.points.empty()) {
-    fail("sweep.points must hold at least one point (use sweep axis 'none' "
-         "with a single seed_point for unswept runs)");
-  }
-  if (spec.sweep.axis == SweepAxis::kNone && spec.sweep.points.size() != 1) {
-    fail("sweep axis 'none' requires exactly one point, got " +
-         std::to_string(spec.sweep.points.size()));
-  }
-  // Sweep point values feed unsigned casts in at_point(); every axis
-  // range-checks its points so a validated spec can never drive an
-  // out-of-range cast (UB) or a silently-degenerate run.
-  const auto check_points = [&](double lo, double hi, const char* what) {
-    for (const SweepPoint& pt : spec.sweep.points) {
-      if (!(pt.value >= lo && pt.value <= hi)) {
-        fail(std::string("sweep axis '") + to_string(spec.sweep.axis) +
-             "' points must be " + what + ", got " +
-             std::to_string(pt.value));
-      }
-    }
-  };
-  constexpr double kMaxU32 = 4294967295.0;
-  switch (spec.sweep.axis) {
-    case SweepAxis::kNone:
-      break;
-    case SweepAxis::kNodes:
-      check_points(2.0, kMaxU32, "network sizes >= 2");
-      break;
-    case SweepAxis::kCacheSize:
-      check_points(2.0, kMaxU32, "cache sizes >= 2");
-      break;
-    case SweepAxis::kDeathCycle:
-      check_points(0.0, kMaxU32, "cycle indices >= 0");
-      break;
-    case SweepAxis::kInstances:
-      check_points(1.0, kMaxU32, "instance counts >= 1");
-      if (spec.aggregate != AggregateKind::kCount) {
-        fail("sweep axis 'instances' requires aggregate 'count'");
-      }
-      // Each point becomes the instances field at at_point(): the same
-      // lane-index overflow and leader-count guards as the top-level
-      // field, checked here so a sweep can't smuggle in a degenerate
-      // point.
-      for (const SweepPoint& pt : spec.sweep.points) {
-        const auto t = static_cast<std::uint64_t>(pt.value);
-        if (static_cast<std::uint64_t>(spec.nodes) * t > 4294967295ULL) {
-          fail("nodes * instances must fit the packed 32-bit lane index "
-               "(<= 4294967295), got " +
-               std::to_string(static_cast<std::uint64_t>(spec.nodes) * t) +
-               " at sweep point " + std::to_string(pt.value));
-        }
-        if (t > spec.nodes) {
-          fail("instances must be <= nodes (each COUNT instance needs a "
-               "distinct leader), got " +
-               std::to_string(t) + " instances over " +
-               std::to_string(spec.nodes) + " nodes at sweep point " +
-               std::to_string(pt.value));
-        }
-      }
-      break;
-    case SweepAxis::kCycles:
-      check_points(1.0, kMaxU32, "cycle counts >= 1");
-      break;
-    case SweepAxis::kBeta:
-    case SweepAxis::kCrashP:
-    case SweepAxis::kChurnFraction:
-    case SweepAxis::kLinkP:
-    case SweepAxis::kLossP:
-      check_points(0.0, 1.0, "probabilities in [0,1]");
-      break;
-    case SweepAxis::kAtomicity:
-      check_points(0.0, 1.0, "0 (off) or 1 (on)");
-      break;
-    case SweepAxis::kInit:
-      check_points(0.0, static_cast<double>(InitKind::kExponential),
-                   "0..3 (peak/uniform/bimodal/exponential)");
-      if (spec.aggregate != AggregateKind::kAverage) {
-        fail("sweep axis 'init' requires aggregate 'average' (COUNT fixes "
-             "the initial distribution)");
-      }
-      break;
-    case SweepAxis::kByzFraction:
-      // Closed-interval helper, then reject the open end by hand.
-      check_points(0.0, 1.0, "byzantine fractions in [0,1)");
-      for (const SweepPoint& pt : spec.sweep.points) {
-        if (pt.value >= 1.0) {
-          fail("sweep axis 'byz_fraction' points must be byzantine "
-               "fractions in [0,1), got " +
-               std::to_string(pt.value));
-        }
-      }
-      if (spec.adversary.behavior == AdversarySpec::Behavior::kNone) {
-        fail("sweep axis 'byz_fraction' requires an adversary.behavior "
-             "(sweeping the fraction of a 'none' adversary is a no-op)");
-      }
-      break;
-    case SweepAxis::kPartitionComponents:
-      check_points(2.0, kMaxU32, "component counts >= 2");
-      if (spec.failure.kind != FailureSpec::Kind::kPartition) {
-        fail("sweep axis 'partition_components' requires failure.kind "
-             "'partition', got '" +
-             to_string(spec.failure.kind) + "'");
-      }
-      break;
-    case SweepAxis::kPartitionDuration:
-      check_points(1.0, kMaxU32, "partitioned cycle counts >= 1");
-      if (spec.failure.kind != FailureSpec::Kind::kPartition) {
-        fail("sweep axis 'partition_duration' requires failure.kind "
-             "'partition', got '" +
-             to_string(spec.failure.kind) + "'");
-      }
-      break;
-  }
   // Drivers must reject spec fields they would otherwise silently drop —
   // a churn plan on a driver that never executes it would produce a
   // clean no-failure series labeled as a churn run.
@@ -1058,12 +977,6 @@ void validate(const ScenarioSpec& spec) {
       fail("driver 'event' stamps simulated microseconds into the packed "
            "32-bit logical clock; cycles must be <= 4294, got " +
            std::to_string(spec.cycles));
-    }
-    if (spec.sweep.axis != SweepAxis::kNone &&
-        spec.sweep.axis != SweepAxis::kAtomicity &&
-        spec.sweep.axis != SweepAxis::kNodes) {
-      fail("driver 'event' supports sweep axes none|atomicity|nodes, got '" +
-           to_string(spec.sweep.axis) + "'");
     }
     if (spec.failure.kind != FailureSpec::Kind::kNone) {
       fail("driver 'event' does not execute a failure plan; failure.kind "
@@ -1132,12 +1045,6 @@ void validate(const ScenarioSpec& spec) {
       fail("runtime churn joiners bootstrap through newscast caches; "
            "churn failure kinds require topology.kind 'newscast', got '" +
            to_string(spec.topology.kind) + "'");
-    }
-    if (spec.sweep.axis != SweepAxis::kNone &&
-        spec.sweep.axis != SweepAxis::kNodes &&
-        spec.sweep.axis != SweepAxis::kLossP) {
-      fail("driver 'runtime' supports sweep axes none|nodes|loss_p, got '" +
-           to_string(spec.sweep.axis) + "'");
     }
     const RuntimeSpec& r = spec.runtime;
     if (r.workers > 256) {
@@ -1241,6 +1148,35 @@ void validate(const ScenarioSpec& spec) {
     fail("match_rounds > 1 requires engine 'intra_rep' (other engines "
          "have no match phase), got engine '" +
          to_string(spec.engine) + "'");
+  }
+}
+
+}  // namespace
+
+void validate(const ScenarioSpec& spec) {
+  if (spec.sweep.points.empty()) {
+    throw SpecError("spec: sweep.points must hold at least one point (use "
+                    "sweep axis 'none' with a single seed_point for "
+                    "unswept runs)");
+  }
+  if (spec.sweep.axis == SweepAxis::kNone) {
+    if (spec.sweep.points.size() != 1) {
+      throw SpecError("spec: sweep axis 'none' requires exactly one point, "
+                      "got " +
+                      std::to_string(spec.sweep.points.size()));
+    }
+    validate_fields(spec);
+    return;
+  }
+  // Each point is checked as the spec the Engine runs for it, so a sweep
+  // reaches no value its field would reject.
+  for (std::size_t i = 0; i < spec.sweep.points.size(); ++i) {
+    const ScenarioSpec point = spec.at_point(i);
+    try {
+      validate_fields(point);
+    } catch (const SpecError& e) {
+      throw SpecError(e.what() + at_sweep_point(spec.sweep.points[i].value));
+    }
   }
 }
 

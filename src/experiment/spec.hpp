@@ -266,6 +266,9 @@ struct ScenarioSpec {
   /// The spec with sweep point `index` folded in: the axis value is
   /// applied to the corresponding field and the sweep collapsed to that
   /// single point. This is the per-point config the Engine executes.
+  /// Throws SpecError if the value is outside the range its field's cast
+  /// needs: [0, 2^32-1] on integer axes, 0..3 for init, [0,1] for
+  /// atomicity. validate() checks every other rule on the result.
   [[nodiscard]] ScenarioSpec at_point(std::size_t index) const;
 
   bool operator==(const ScenarioSpec&) const = default;
@@ -297,7 +300,9 @@ std::string to_json(const ScenarioSpec& spec, int indent = 2);
 ScenarioSpec spec_from_json(const std::string& text);
 
 /// Semantic validation (ranges, cross-field constraints, engine
-/// eligibility); throws SpecError on the first violation.
+/// eligibility); throws SpecError on the first violation. It checks
+/// every sweep point as at_point(i), the spec the Engine runs; a failing
+/// point's message ends in " at sweep point <v>".
 void validate(const ScenarioSpec& spec);
 
 /// The FNV-1a 64 offset basis; fold strings in with fnv1a64().

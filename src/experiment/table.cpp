@@ -93,11 +93,10 @@ bool Table::maybe_write_csv_file(const std::string& name) const {
 
 void print_banner(std::ostream& os, const std::string& figure,
                   const std::string& description,
-                  const std::string& scale_note) {
-  os << "== " << figure << " — " << description << '\n'
-     << "   " << scale_note << '\n'
-     << "   (GOSSIP_FULL=1 for paper scale; GOSSIP_N / GOSSIP_REPS / "
-        "GOSSIP_SEED override)\n\n";
+                  const std::vector<std::string>& notes) {
+  os << "== " << figure << " — " << description << '\n';
+  for (const std::string& note : notes) os << "   " << note << '\n';
+  os << '\n';
 }
 
 }  // namespace gossip::experiment

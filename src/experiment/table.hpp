@@ -43,9 +43,11 @@ private:
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Standard bench banner: figure id, description, scale note.
+/// Standard bench banner: figure id and description, then one indented
+/// line per note (the scale, and for registered scenarios the GOSSIP_*
+/// knobs that change it).
 void print_banner(std::ostream& os, const std::string& figure,
                   const std::string& description,
-                  const std::string& scale_note);
+                  const std::vector<std::string>& notes);
 
 }  // namespace gossip::experiment

@@ -210,16 +210,6 @@ void NewscastNetwork::add_node(NodeId id, NodeId contact,
              NodeId::invalid());
 }
 
-void NewscastNetwork::add_node_with_view(NodeId id,
-                                         std::span<const CacheEntry> view) {
-  // Copy first: growing the pool may reallocate under a span that points
-  // into it (callers legitimately pass another node's view).
-  buffers_.scratch.assign(view.begin(), view.end());
-  grow_one(id);
-  merge_into(buffers_, id.value(), buffers_.scratch,
-             CacheEntry{NodeId::invalid(), 0}, id);
-}
-
 void NewscastNetwork::reserve_joins(std::size_t extra) {
   pool_.reserve(pool_.size() + extra * cache_size_);
   sizes_.reserve(sizes_.size() + extra);

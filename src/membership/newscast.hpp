@@ -106,9 +106,6 @@ public:
   /// plus a fresh descriptor of the contact (the §4.2 join rule).
   void add_node(NodeId id, NodeId contact, std::uint64_t now);
 
-  /// Adds one node with an explicit bootstrap view (tests, event engine).
-  void add_node_with_view(NodeId id, std::span<const CacheEntry> view);
-
   /// Reserves pool capacity for `extra` future joins (churn plans know
   /// their join volume up front; this keeps the growth path
   /// reallocation-free).

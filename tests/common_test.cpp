@@ -1,15 +1,13 @@
 // Tests for src/common: RNG determinism and distribution sanity, NodeId,
-// environment knobs, requirement checks.
+// requirement checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <unordered_set>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/node_id.hpp"
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -244,38 +242,6 @@ TEST(NodeId, Hashable) {
   s.insert(NodeId(1));
   s.insert(NodeId(2));
   EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(Env, U64FallbackAndParse) {
-  ::unsetenv("GOSSIP_TEST_U64");
-  EXPECT_EQ(env_u64("GOSSIP_TEST_U64", 7), 7u);
-  ::setenv("GOSSIP_TEST_U64", "123", 1);
-  EXPECT_EQ(env_u64("GOSSIP_TEST_U64", 7), 123u);
-  ::setenv("GOSSIP_TEST_U64", "not-a-number", 1);
-  EXPECT_EQ(env_u64("GOSSIP_TEST_U64", 7), 7u);
-  ::unsetenv("GOSSIP_TEST_U64");
-}
-
-TEST(Env, DoubleFallbackAndParse) {
-  ::unsetenv("GOSSIP_TEST_D");
-  EXPECT_DOUBLE_EQ(env_double("GOSSIP_TEST_D", 0.5), 0.5);
-  ::setenv("GOSSIP_TEST_D", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("GOSSIP_TEST_D", 0.5), 0.25);
-  ::unsetenv("GOSSIP_TEST_D");
-}
-
-TEST(Env, FlagSemantics) {
-  ::unsetenv("GOSSIP_TEST_FLAG");
-  EXPECT_FALSE(env_flag("GOSSIP_TEST_FLAG"));
-  for (const char* off : {"0", "false", "FALSE", "off"}) {
-    ::setenv("GOSSIP_TEST_FLAG", off, 1);
-    EXPECT_FALSE(env_flag("GOSSIP_TEST_FLAG")) << off;
-  }
-  for (const char* on : {"1", "true", "yes"}) {
-    ::setenv("GOSSIP_TEST_FLAG", on, 1);
-    EXPECT_TRUE(env_flag("GOSSIP_TEST_FLAG")) << on;
-  }
-  ::unsetenv("GOSSIP_TEST_FLAG");
 }
 
 TEST(Require, ThrowsWithContext) {

@@ -127,6 +127,7 @@ TEST(RuntimeVsSim, LiveCountsAgreeUnderFailurePlans) {
     rt_spec.runtime.workers = 1;
     ScenarioSpec sim_spec = rt_spec;
     sim_spec.driver = DriverKind::kCycle;
+    sim_spec.runtime = RuntimeSpec{};  // runtime.* needs driver 'runtime'
     const RunResult rt = engine.run_single(rt_spec, kSeed);
     const RunResult sim = engine.run_single(sim_spec, kSeed);
     ASSERT_EQ(rt.per_cycle.size(), sim.per_cycle.size());

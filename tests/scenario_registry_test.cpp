@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "experiment/emit.hpp"
@@ -86,6 +87,73 @@ TEST(Registry, GenericSpecRunsThroughEngineAndEmitter) {
   const Table table = generic_table(result);
   EXPECT_EQ(table.rows(), 2u);
   EXPECT_EQ(table.headers().front(), "loss_p");
+}
+
+TEST(Registry, GenericTableFactorUsesEachPointsCycles) {
+  // Each point of a cycles sweep runs its own cycle count, which is the
+  // window of its factor — below the top-level cycles and above it.
+  const ScenarioSpec spec = spec_from_json(R"({
+      "name": "cycles-sweep", "nodes": 500, "cycles": 30,
+      "sweep": {"axis": "cycles",
+                "points": [{"value": 10, "seed_point": 1},
+                           {"value": 40, "seed_point": 2}]}})");
+  Engine engine;
+  const ScenarioResult result = engine.run(spec);
+  const Table table = generic_table(result);
+  ASSERT_EQ(table.rows(), 2u);
+  ASSERT_EQ(table.headers()[4], "mean_factor");
+  const std::uint32_t windows[] = {10, 40};
+  for (std::size_t i = 0; i < 2; ++i) {
+    stats::RunningStats factors;
+    for (const RunResult& rep : result.points[i].reps) {
+      factors.add(rep.tracker.mean_factor(windows[i]));
+    }
+    EXPECT_EQ(table.cells()[i][4], fmt(factors.mean())) << "point " << i;
+  }
+}
+
+TEST(Registry, SweepsOverFieldsTheDriverReadsRunOneRowPerPoint) {
+  // The event driver reads cycles, init and message loss, and the
+  // runtime reads cycles and init; each point validates and runs.
+  const ScenarioSpec event = ScenarioSpec::average_peak("event", 100, 5)
+                                 .with_driver(DriverKind::kEvent);
+  ScenarioSpec runtime = ScenarioSpec::average_peak("runtime", 64, 5)
+                             .with_topology(TopologyConfig::complete())
+                             .with_driver(DriverKind::kRuntime);
+  runtime.runtime.workers = 1;
+  struct Case {
+    const ScenarioSpec& base;
+    SweepAxis axis;
+    std::vector<SweepPoint> points;
+  };
+  const Case cases[] = {
+      {event, SweepAxis::kCycles, {{3.0, 1, ""}, {6.0, 2, ""}}},
+      {event, SweepAxis::kInit, {{0.0, 1, "peak"}, {1.0, 2, "uniform"}}},
+      {event, SweepAxis::kLossP, {{0.0, 1, ""}, {0.2, 2, ""}}},
+      {runtime, SweepAxis::kInit, {{0.0, 1, "peak"}, {1.0, 2, "uniform"}}},
+      {runtime, SweepAxis::kCycles, {{3.0, 1, ""}, {6.0, 2, ""}}},
+  };
+  Engine engine;
+  for (const Case& c : cases) {
+    ScenarioSpec spec = c.base;
+    spec.with_sweep(c.axis, c.points);
+    SCOPED_TRACE(spec.name + " over " + to_string(c.axis));
+    EXPECT_NO_THROW(validate(spec));
+    const ScenarioResult result = engine.run(spec);
+    ASSERT_EQ(result.points.size(), 2u);
+    EXPECT_EQ(generic_table(result).rows(), 2u);
+    const RunResult& first = result.points[0].reps.at(0);
+    const RunResult& second = result.points[1].reps.at(0);
+    if (c.axis == SweepAxis::kCycles) {
+      // Each point ran its own cycle count.
+      EXPECT_EQ(first.per_cycle.size(), 4u);
+      EXPECT_EQ(second.per_cycle.size(), 7u);
+    } else if (c.axis == SweepAxis::kInit) {
+      // The peak starts with variance ~N, uniform values near 1/3.
+      EXPECT_GT(first.per_cycle.at(0).variance(),
+                second.per_cycle.at(0).variance());
+    }
+  }
 }
 
 TEST(Emit, NonFiniteCellsUseStableTokens) {

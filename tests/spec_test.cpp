@@ -497,16 +497,17 @@ TEST(SpecValidation, IntraRepAcceptsCountAndMultiInstance) {
 
 TEST(SpecValidation, EngineOverrideCannotSilentlyDropMatchRounds) {
   // A CLI --set engine=… override bypasses validate()'s spec.engine
-  // check; the resolver must reject the combination rather than let a
-  // non-matching engine silently drop match_rounds and mislabel the
-  // series.
+  // check; the Engine validates each point with the resolved engine, so
+  // it rejects the combination rather than let a non-matching engine
+  // silently drop match_rounds and mislabel the series.
   ScenarioSpec spec = ScenarioSpec::average_peak("x", 100, 5)
                           .with_engine(EngineKind::kIntraRep)
                           .with_match_rounds(2);
   EXPECT_NO_THROW(validate(spec));
-  EXPECT_NO_THROW((void)resolve_engine(spec, {EngineKind::kIntraRep}));
-  EXPECT_THROW((void)resolve_engine(spec, {EngineKind::kSerial}), SpecError);
-  EXPECT_THROW((void)resolve_engine(spec, {EngineKind::kRepParallel}),
+  EXPECT_NO_THROW((void)Engine({EngineKind::kIntraRep}).run_point(spec, 0));
+  EXPECT_THROW((void)Engine({EngineKind::kSerial}).run_point(spec, 0),
+               SpecError);
+  EXPECT_THROW((void)Engine({EngineKind::kRepParallel}).run_point(spec, 0),
                SpecError);
 }
 
@@ -653,6 +654,116 @@ TEST(SpecValidation, InitSweepRequiresAverage) {
   ScenarioSpec spec = ScenarioSpec::count("x", 100, 5);
   spec.with_sweep(SweepAxis::kInit, {{0.0, 1, "peak"}, {1.0, 2, "uniform"}});
   EXPECT_THROW(validate(spec), SpecError);
+}
+
+// ------------------------------------------------ per-point validation
+
+TEST(SpecValidation, EachSweepPointFailsWithItsFieldsMessage) {
+  // Each base spec validates; its failing point, written as a top-level
+  // field, is rejected by that field's rule. Swept, validate() must
+  // report the same one-line message plus " at sweep point <v>".
+  struct Case {
+    const char* base;            ///< valid JSON, no sweep
+    SweepAxis axis;
+    std::vector<double> values;  ///< seed points 1, 2, …
+    std::size_t failing;         ///< index of the first rejected point
+  };
+  const Case cases[] = {
+      // push-sum ignores link failure and failure plans.
+      {R"({"name": "x", "driver": "push_sum", "nodes": 500, "cycles": 10})",
+       SweepAxis::kLinkP, {0.0, 0.9}, 1},
+      {R"({"name": "x", "driver": "push_sum", "nodes": 500, "cycles": 10})",
+       SweepAxis::kCrashP, {0.0, 0.5}, 0},
+      // Points whose runs used to abort with exit 3.
+      {R"({"name": "x", "aggregate": "count", "instances": 100,
+           "nodes": 1000, "cycles": 10})",
+       SweepAxis::kNodes, {50.0}, 0},
+      {R"({"name": "x", "nodes": 1000, "cycles": 10,
+           "failure": {"kind": "correlated_waves", "cycle": 2,
+                       "fraction": 0.01, "waves": 2}})",
+       SweepAxis::kNodes, {50.0}, 0},
+      // Cross-field rules against the swept cycles.
+      {R"({"name": "x", "nodes": 500, "cycles": 30,
+           "drift": {"kind": "linear", "rate": 0.01, "start_cycle": 20}})",
+       SweepAxis::kCycles, {10.0}, 0},
+      {R"({"name": "x", "nodes": 500, "cycles": 30,
+           "service": {"pipeline": true, "epoch_cycles": 20,
+                       "staleness_bound": 25}})",
+       SweepAxis::kCycles, {10.0}, 0},
+      // The packed 32-bit lane index and clock. Never run these two:
+      // the first asks for ~96 GB.
+      {R"({"name": "x", "aggregate": "count", "instances": 4,
+           "nodes": 1000, "cycles": 10})",
+       SweepAxis::kNodes, {3e9}, 0},
+      {R"({"name": "x", "nodes": 100, "cycles": 30})", SweepAxis::kCycles,
+       {4294967295.0}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.base);
+    ScenarioSpec spec = spec_from_json(c.base);
+    std::vector<SweepPoint> points;
+    points.reserve(c.values.size());
+    for (std::size_t i = 0; i < c.values.size(); ++i) {
+      points.push_back({c.values[i], i + 1, ""});
+    }
+    spec.with_sweep(c.axis, points);
+
+    ScenarioSpec top = spec.at_point(c.failing);
+    top.sweep = SweepSpec::single(1);
+    std::string field_message;
+    try {
+      validate(top);
+      ADD_FAILURE() << "the failing point validates as a top-level field";
+    } catch (const SpecError& e) {
+      field_message = e.what();
+    }
+    try {
+      validate(spec);
+      ADD_FAILURE() << "the sweep validates";
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what, field_message + " at sweep point " +
+                          std::to_string(c.values[c.failing]));
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(SpecValidation, PartitionFieldsNeedAPartitionPlan) {
+  // Only a partition reads components and duration; on any other plan
+  // they would be silently ignored.
+  const std::string message =
+      "spec: failure.components and failure.duration are only meaningful "
+      "for kind 'partition'; leave them at 0";
+  expect_spec_error(
+      R"({"name": "x", "nodes": 300, "cycles": 5,
+          "failure": {"kind": "churn", "rate": 2, "components": 4}})",
+      message);
+  expect_spec_error(
+      R"({"name": "x", "failure": {"kind": "none", "duration": 3}})",
+      message);
+}
+
+TEST(SpecValidation, RunSingleRejectsWhatValidateRejects) {
+  ScenarioSpec stray_runtime = ScenarioSpec::average_peak("x", 100, 5);
+  stray_runtime.runtime.workers = 1;  // runtime.* needs driver 'runtime'
+  EXPECT_THROW(validate(stray_runtime), SpecError);
+  EXPECT_THROW((void)Engine().run_single(stray_runtime, 1), SpecError);
+
+  // A drift that starts as the run ends.
+  const ScenarioSpec late_drift =
+      ScenarioSpec::average_peak("x", 100, 5)
+          .with_drift(DriftSpec::linear(0.01, /*start_cycle=*/5));
+  EXPECT_THROW(validate(late_drift), SpecError);
+  EXPECT_THROW((void)Engine().run_single(late_drift, 1), SpecError);
+
+  // The resolved engine is what gets validated, as in run_point.
+  const ScenarioSpec rounds = ScenarioSpec::average_peak("x", 100, 5)
+                                  .with_engine(EngineKind::kIntraRep)
+                                  .with_match_rounds(2);
+  EXPECT_NO_THROW((void)Engine().run_single(rounds, 1));
+  EXPECT_THROW((void)Engine({EngineKind::kSerial}).run_single(rounds, 1),
+               SpecError);
 }
 
 // --------------------------------------------------------- spec surface
