@@ -478,10 +478,9 @@ namespace {
 #define GOSSIP_EMIT_IF_NONDEFAULT(obj, member) \
   (!((obj).member == std::decay_t<decltype((obj).member)>{}))
 
-#define GOSSIP_SER_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                       set_key, sweep)                                    \
-  if (GOSSIP_EMIT_##emit(obj, member)) {                                  \
-    o.set(json_key, GOSSIP_JV_##tag(obj, member, extra));                 \
+#define GOSSIP_SER_ONE(member, json_key, tag, extra, emit, set_tok, set_key) \
+  if (GOSSIP_EMIT_##emit(obj, member)) {                                    \
+    o.set(json_key, GOSSIP_JV_##tag(obj, member, extra));                   \
   }
 
 #define GOSSIP_DEFINE_TO_JSON(name, Type, FIELDS) \
@@ -601,16 +600,15 @@ bool get_bool(const json::Value& v, const char* field) {
 // One `if (found) parse` per row. GOSSIP_PARSE_PREFIX is the dotted
 // context prefix of the group currently being expanded ("" at top
 // level) — string-literal concatenation builds "failure." "cycle".
-#define GOSSIP_PARSE_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                         set_key, sweep)                                    \
-  if (const auto* gv = v.find(json_key)) {                                  \
-    GOSSIP_PARSE_##tag(obj.member, GOSSIP_PARSE_PREFIX json_key, extra);    \
+#define GOSSIP_PARSE_ONE(member, json_key, tag, extra, emit, set_tok,   \
+                         set_key)                                      \
+  if (const auto* gv = v.find(json_key)) {                             \
+    GOSSIP_PARSE_##tag(obj.member, GOSSIP_PARSE_PREFIX json_key, extra); \
   }
 
 // The allowed-key list for reject_unknown_keys (trailing comma is fine
 // in a braced list).
-#define GOSSIP_KEY_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                       set_key, sweep)                                    \
+#define GOSSIP_KEY_ONE(member, json_key, tag, extra, emit, set_tok, set_key) \
   json_key,
 
 #define GOSSIP_DEFINE_FROM_JSON(name, Type, FIELDS)         \
@@ -756,19 +754,60 @@ void validate_fields(const ScenarioSpec& spec) {
          "'peak', got '" +
          to_string(spec.init) + "'");
   }
-  if (!(spec.topology.beta >= 0.0 && spec.topology.beta <= 1.0)) {
-    fail("topology.beta must be in [0,1], got " +
-         std::to_string(spec.topology.beta));
+  const TopologyConfig& topo = spec.topology;
+  const TopologyConfig topo_defaults;
+  if (!(topo.beta >= 0.0 && topo.beta <= 1.0)) {
+    fail("topology.beta must be in [0,1], got " + std::to_string(topo.beta));
   }
-  if (spec.topology.kind == TopologyKind::kNewscast &&
-      spec.topology.cache_size < 2) {
+  if (topo.beta != 0.0 && topo.kind != TopologyKind::kWattsStrogatz) {
+    fail("topology.beta is only meaningful for kind 'watts_strogatz'; "
+         "leave it at 0");
+  }
+  if (topo.kind == TopologyKind::kNewscast && topo.cache_size < 2) {
     fail("topology.cache_size must be >= 2 for newscast, got " +
-         std::to_string(spec.topology.cache_size));
+         std::to_string(topo.cache_size));
   }
-  if (spec.topology.kind != TopologyKind::kComplete &&
-      spec.topology.kind != TopologyKind::kNewscast &&
-      spec.topology.degree == 0) {
-    fail("topology.degree must be >= 1 for static topologies");
+  if (topo.kind != TopologyKind::kNewscast &&
+      topo.cache_size != topo_defaults.cache_size) {
+    fail("topology.cache_size is only meaningful for kind 'newscast'; "
+         "leave it at " +
+         std::to_string(topo_defaults.cache_size));
+  }
+  // The static generators' preconditions (overlay/generators.cpp), so a
+  // spec that validates never aborts while building its graph.
+  const auto fail_degree = [&](const std::string& rule) {
+    fail("topology.degree must be " + rule + " for " + to_string(topo.kind) +
+         ", got degree " + std::to_string(topo.degree) + " with " +
+         std::to_string(spec.nodes) + " nodes");
+  };
+  switch (topo.kind) {
+    case TopologyKind::kRandomKOut:
+      if (topo.degree < 1 || topo.degree >= spec.nodes) {
+        fail_degree("in [1, nodes)");
+      }
+      break;
+    case TopologyKind::kRingLattice:
+    case TopologyKind::kWattsStrogatz:
+      if (topo.degree < 2 || topo.degree % 2 != 0 ||
+          topo.degree >= spec.nodes) {
+        fail_degree("even with 2 <= degree < nodes");
+      }
+      break;
+    case TopologyKind::kBarabasiAlbert:
+      // m = degree/2 links per joiner, grown from an (m+1)-node clique.
+      if (topo.degree < 2 || spec.nodes <= topo.degree / 2 + 1) {
+        fail_degree(">= 2 with nodes > degree/2 + 1");
+      }
+      break;
+    case TopologyKind::kComplete:
+    case TopologyKind::kNewscast:
+      if (topo.degree != topo_defaults.degree) {
+        fail("topology.degree is only meaningful for the static kinds; "
+             "leave it at " +
+             std::to_string(topo_defaults.degree) + " for " +
+             to_string(topo.kind));
+      }
+      break;
   }
   if (!(spec.failure.p >= 0.0 && spec.failure.p <= 1.0)) {
     fail("failure.p must be in [0,1], got " + std::to_string(spec.failure.p));
@@ -801,6 +840,18 @@ void validate_fields(const ScenarioSpec& spec) {
   } else if (spec.failure.components != 0 || spec.failure.duration != 0) {
     fail("failure.components and failure.duration are only meaningful for "
          "kind 'partition'; leave them at 0");
+  }
+  // Joiners enter through the overlay: the runtime's through NEWSCAST
+  // caches, the simulators' through NEWSCAST or the complete overlay.
+  if ((spec.failure.kind == FailureSpec::Kind::kChurn ||
+       spec.failure.kind == FailureSpec::Kind::kChurnFraction) &&
+      topo.kind != TopologyKind::kNewscast &&
+      (topo.kind != TopologyKind::kComplete ||
+       spec.driver == DriverKind::kRuntime)) {
+    fail("churn failure kinds need topology.kind 'newscast' (or "
+         "'complete' on a driver other than 'runtime'), got '" +
+         to_string(topo.kind) + "' on driver '" + to_string(spec.driver) +
+         "'");
   }
   if (spec.failure.kind == FailureSpec::Kind::kRestart) {
     if (spec.failure.cycle < 1) {
@@ -966,6 +1017,11 @@ void validate_fields(const ScenarioSpec& spec) {
   // Drivers must reject spec fields they would otherwise silently drop —
   // a churn plan on a driver that never executes it would produce a
   // clean no-failure series labeled as a churn run.
+  if (!spec.atomic_exchanges && spec.driver != DriverKind::kEvent) {
+    fail("atomic_exchanges = false requires driver 'event' (every other "
+         "driver always runs atomic exchanges), got driver '" +
+         to_string(spec.driver) + "'");
+  }
   if (spec.driver == DriverKind::kEvent) {
     if (spec.aggregate != AggregateKind::kAverage) {
       fail("driver 'event' supports aggregate 'average' only");
@@ -1010,10 +1066,6 @@ void validate_fields(const ScenarioSpec& spec) {
     if (spec.aggregate != AggregateKind::kAverage) {
       fail("driver 'runtime' supports aggregate 'average' only");
     }
-    if (!spec.atomic_exchanges) {
-      fail("driver 'runtime' always runs atomic exchanges (the busy-NACK "
-           "rule); atomic_exchanges must stay true");
-    }
     if (spec.engine != EngineKind::kAuto &&
         spec.engine != EngineKind::kSerial) {
       fail("driver 'runtime' hosts its own worker threads; engine must be "
@@ -1038,13 +1090,6 @@ void validate_fields(const ScenarioSpec& spec) {
              "none|proportional_crash|sudden_death|churn|churn_fraction|"
              "constant_crash|correlated_waves, got '" +
              to_string(spec.failure.kind) + "'");
-    }
-    if ((spec.failure.kind == FailureSpec::Kind::kChurn ||
-         spec.failure.kind == FailureSpec::Kind::kChurnFraction) &&
-        spec.topology.kind != TopologyKind::kNewscast) {
-      fail("runtime churn joiners bootstrap through newscast caches; "
-           "churn failure kinds require topology.kind 'newscast', got '" +
-           to_string(spec.topology.kind) + "'");
     }
     const RuntimeSpec& r = spec.runtime;
     if (r.workers > 256) {
@@ -1288,65 +1333,41 @@ std::string nearest_key(const std::string& key,
 // ---------------------------------------------------------- introspection
 
 const std::vector<SpecFieldDescriptor>& spec_field_table() {
-#define GOSSIP_DESC_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                        set_key, sweep)                                    \
-  {GOSSIP_DESC_GROUP, #member, GOSSIP_DESC_PREFIX json_key, #tag, dflt,    \
-   #emit, set_key, sweep},
+#define GOSSIP_DESC_ONE(member, json_key, tag, extra, emit, set_tok, set_key) \
+  {GOSSIP_DESC_PREFIX json_key, #tag, set_key},
   static const std::vector<SpecFieldDescriptor> table = {
-#define GOSSIP_DESC_GROUP "top"
 #define GOSSIP_DESC_PREFIX ""
       GOSSIP_SPEC_TOP_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "topology"
 #define GOSSIP_DESC_PREFIX "topology."
       GOSSIP_SPEC_TOPOLOGY_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "failure"
 #define GOSSIP_DESC_PREFIX "failure."
       GOSSIP_SPEC_FAILURE_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "comm"
 #define GOSSIP_DESC_PREFIX "comm."
       GOSSIP_SPEC_COMM_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "adversary"
 #define GOSSIP_DESC_PREFIX "adversary."
       GOSSIP_SPEC_ADVERSARY_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "combine"
 #define GOSSIP_DESC_PREFIX "combine."
       GOSSIP_SPEC_COMBINE_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "drift"
 #define GOSSIP_DESC_PREFIX "drift."
       GOSSIP_SPEC_DRIFT_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "service"
 #define GOSSIP_DESC_PREFIX "service."
       GOSSIP_SPEC_SERVICE_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "runtime"
 #define GOSSIP_DESC_PREFIX "runtime."
       GOSSIP_SPEC_RUNTIME_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "sweep"
 #define GOSSIP_DESC_PREFIX "sweep."
       GOSSIP_SPEC_SWEEP_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
-#define GOSSIP_DESC_GROUP "sweep.points"
 #define GOSSIP_DESC_PREFIX "sweep.points."
       GOSSIP_SPEC_SWEEP_POINT_FIELDS(GOSSIP_DESC_ONE)
-#undef GOSSIP_DESC_GROUP
 #undef GOSSIP_DESC_PREFIX
   };
   return table;
@@ -1355,8 +1376,8 @@ const std::vector<SpecFieldDescriptor>& spec_field_table() {
 const std::vector<const char*>& spec_set_keys() {
 #define GOSSIP_SETKEY_SET(set_key) set_key,
 #define GOSSIP_SETKEY_NOSET(set_key)
-#define GOSSIP_SETKEY_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                          set_key, sweep)                                    \
+#define GOSSIP_SETKEY_ONE(member, json_key, tag, extra, emit, set_tok, \
+                          set_key)                                     \
   GOSSIP_SETKEY_##set_tok(set_key)
   static const std::vector<const char*> keys = {
       GOSSIP_SPEC_TOP_FIELDS(GOSSIP_SETKEY_ONE)
@@ -1413,8 +1434,7 @@ void apply_override(ScenarioSpec& spec, const std::string& key,
     GOSSIP_SETVAL_##tag(GOSSIP_SET_OWNER.member, extra, set_key); \
     return;                                                       \
   }
-#define GOSSIP_SET_ONE(member, json_key, tag, extra, dflt, emit, set_tok, \
-                       set_key, sweep)                                    \
+#define GOSSIP_SET_ONE(member, json_key, tag, extra, emit, set_tok, set_key) \
   GOSSIP_SET_##set_tok(member, tag, extra, set_key)
 
 #define GOSSIP_SET_OWNER spec

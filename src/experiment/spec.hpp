@@ -348,19 +348,13 @@ std::string nearest_key(const std::string& key,
 
 /// One row of the field-descriptor table (spec_fields.hpp) in runtime
 /// form. The same rows generate parse, canonical serialization and the
-/// --set dispatch, so this table IS the spec surface; spec_test's
-/// table-driven coverage tests and tools/spec_surface_lint.py audit it.
+/// --set dispatch, so this table IS the spec surface; spec_test checks
+/// its golden cases and EXPERIMENTS.md's field reference against it.
 struct SpecFieldDescriptor {
-  const char* group;          ///< owning object ("top", "failure", ...)
-  const char* member;         ///< C++ member name
-  const char* json_path;      ///< dotted canonical-JSON path
-  const char* type;           ///< field tag (STR/U32/U64/UNS/SIZE/DBL/
-                              ///< PROB/BOOL/ENUM/OBJ/PTS)
-  const char* default_value;  ///< default, as documentation text
-  const char* emit;           ///< emission predicate (ALWAYS/IF_NONZERO/
-                              ///< IF_NONEMPTY/IF_NONDEFAULT)
-  const char* set_key;        ///< --set key ("" when not settable)
-  const char* sweep_axis;     ///< sweep axis writing this field ("" if none)
+  const char* json_path;  ///< dotted canonical-JSON path
+  const char* type;       ///< field tag (STR/U32/U64/UNS/SIZE/DBL/PROB/
+                          ///< BOOL/ENUM/OBJ/PTS)
+  const char* set_key;    ///< --set key ("" when not settable)
 };
 
 /// Every descriptor row, in canonical JSON key order, group by group.

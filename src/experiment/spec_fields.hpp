@@ -11,19 +11,18 @@
 //     lists and the precise "spec: <path> must be ..." error contexts,
 //   * the --set override dispatch, its supported-key list and the
 //     nearest-key (Levenshtein) typo-suggestion candidate set,
-//   * the runtime introspection table (spec_field_table()) that tests
-//     and tools/spec_surface_lint.py audit.
+//   * the introspection table (spec_field_table()) that spec_test's
+//     SpecSurface tests check.
 //
-// Adding a field is adding a row (plus its validation in validate()
-// and, for enums, a name table); forgetting any other surface is no
-// longer possible — the parser, serializer and --set table all expand
-// from the row, and the spec-surface lint fails CI unless the field
-// also has a golden SpecError test, an EXPERIMENTS.md mention and a
-// --set round-trip where applicable.
+// Adding a field is adding a row (plus its rules in validate_fields()
+// and, for enums, a name table); the parser, serializer and --set table
+// all expand from the row. spec_test then fails until the field also
+// has a golden wrong-type SpecError case, a --set round-trip case when
+// it has a key, and a row in EXPERIMENTS.md's field reference.
 //
 // Row shape (every table):
 //
-//   X(member, json_key, tag, extra, default, emit, set_tok, set_key, sweep)
+//   X(member, json_key, tag, extra, emit, set_tok, set_key)
 //
 //   member   C++ member name within the owning struct
 //   json_key canonical JSON key (string literal)
@@ -42,8 +41,6 @@
 //   extra    ENUM: the NameTable identifier (spec.cpp); OBJ: the
 //            <extra>_to_json / <extra>_from_json function prefix;
 //            otherwise `_`
-//   default  the default value, as documentation for introspection
-//            (the authoritative defaults are the member initializers)
 //   emit     serialization predicate:
 //              ALWAYS        unconditional (the pre-redesign surface)
 //              IF_NONZERO    emitted only when != 0 (late-added scalar
@@ -55,162 +52,119 @@
 //                            service/runtime)
 //   set_tok  SET when the field has a --set override key, else NOSET
 //   set_key  the --set key (string literal; "" for NOSET rows)
-//   sweep    the sweep axis that writes this field in at_point(), as a
-//            string literal ("" when the field is not sweepable)
 //
-// tools/spec_surface_lint.py parses these rows textually — keep one
-// row per X(...) invocation.
+// The defaults are the member initializers.
 #pragma once
 
 // ---- top level ---------------------------------------------------------
 // Row order is the canonical JSON key order; the --set key list starts
 // with these rows (SET rows only) in this order.
 #define GOSSIP_SPEC_TOP_FIELDS(X)                                           \
-  X(name, "name", STR, _, "\"\"", ALWAYS, SET, "name", "")                  \
-  X(title, "title", STR, _, "\"\"", IF_NONEMPTY, SET, "title", "")          \
-  X(driver, "driver", ENUM, kDriverNames, "cycle", ALWAYS, SET, "driver",   \
-    "")                                                                     \
-  X(aggregate, "aggregate", ENUM, kAggregateNames, "average", ALWAYS, SET,  \
-    "aggregate", "")                                                        \
-  X(instances, "instances", U32, _, "1", ALWAYS, SET, "instances",          \
-    "instances")                                                            \
-  X(init, "init", ENUM, kInitNames, "peak", ALWAYS, SET, "init", "init")    \
-  X(nodes, "nodes", U32, _, "10000", ALWAYS, SET, "nodes", "nodes")         \
-  X(cycles, "cycles", U32, _, "30", ALWAYS, SET, "cycles", "cycles")        \
-  X(reps, "reps", U32, _, "1", ALWAYS, SET, "reps", "")                     \
-  X(seed, "seed", U64, _, "0x5eed", ALWAYS, SET, "seed", "")                \
-  X(topology, "topology", OBJ, topology, "newscast(c=30)", ALWAYS, NOSET,   \
-    "", "")                                                                 \
-  X(failure, "failure", OBJ, failure, "none", ALWAYS, NOSET, "", "")        \
-  X(comm, "comm", OBJ, comm, "none", ALWAYS, NOSET, "", "")                 \
-  X(adversary, "adversary", OBJ, adversary, "none", IF_NONDEFAULT, NOSET,   \
-    "", "")                                                                 \
-  X(combine, "combine", OBJ, combine, "mean", IF_NONDEFAULT, NOSET, "", "") \
-  X(drift, "drift", OBJ, drift, "none", IF_NONDEFAULT, NOSET, "", "")       \
-  X(service, "service", OBJ, service, "none", IF_NONDEFAULT, NOSET, "", "") \
-  X(runtime, "runtime", OBJ, runtime, "loopback", IF_NONDEFAULT, NOSET,     \
-    "", "")                                                                 \
-  X(atomic_exchanges, "atomic_exchanges", BOOL, _, "true", ALWAYS, SET,     \
-    "atomic_exchanges", "atomicity")                                        \
-  X(engine, "engine", ENUM, kEngineNames, "auto", ALWAYS, SET, "engine",    \
-    "")                                                                     \
-  X(threads, "threads", UNS, _, "0", ALWAYS, SET, "threads", "")            \
-  X(shards, "shards", UNS, _, "0", ALWAYS, SET, "shards", "")               \
-  X(match_rounds, "match_rounds", U32, _, "1", ALWAYS, SET, "match_rounds", \
-    "")                                                                     \
-  X(sweep, "sweep", OBJ, sweep, "single(0)", ALWAYS, NOSET, "", "")
+  X(name, "name", STR, _, ALWAYS, SET, "name")                              \
+  X(title, "title", STR, _, IF_NONEMPTY, SET, "title")                      \
+  X(driver, "driver", ENUM, kDriverNames, ALWAYS, SET, "driver")            \
+  X(aggregate, "aggregate", ENUM, kAggregateNames, ALWAYS, SET,             \
+    "aggregate")                                                            \
+  X(instances, "instances", U32, _, ALWAYS, SET, "instances")               \
+  X(init, "init", ENUM, kInitNames, ALWAYS, SET, "init")                    \
+  X(nodes, "nodes", U32, _, ALWAYS, SET, "nodes")                           \
+  X(cycles, "cycles", U32, _, ALWAYS, SET, "cycles")                        \
+  X(reps, "reps", U32, _, ALWAYS, SET, "reps")                              \
+  X(seed, "seed", U64, _, ALWAYS, SET, "seed")                              \
+  X(topology, "topology", OBJ, topology, ALWAYS, NOSET, "")                 \
+  X(failure, "failure", OBJ, failure, ALWAYS, NOSET, "")                    \
+  X(comm, "comm", OBJ, comm, ALWAYS, NOSET, "")                             \
+  X(adversary, "adversary", OBJ, adversary, IF_NONDEFAULT, NOSET, "")       \
+  X(combine, "combine", OBJ, combine, IF_NONDEFAULT, NOSET, "")             \
+  X(drift, "drift", OBJ, drift, IF_NONDEFAULT, NOSET, "")                   \
+  X(service, "service", OBJ, service, IF_NONDEFAULT, NOSET, "")             \
+  X(runtime, "runtime", OBJ, runtime, IF_NONDEFAULT, NOSET, "")             \
+  X(atomic_exchanges, "atomic_exchanges", BOOL, _, ALWAYS, SET,             \
+    "atomic_exchanges")                                                     \
+  X(engine, "engine", ENUM, kEngineNames, ALWAYS, SET, "engine")            \
+  X(threads, "threads", UNS, _, ALWAYS, SET, "threads")                     \
+  X(shards, "shards", UNS, _, ALWAYS, SET, "shards")                        \
+  X(match_rounds, "match_rounds", U32, _, ALWAYS, SET, "match_rounds")      \
+  X(sweep, "sweep", OBJ, sweep, ALWAYS, NOSET, "")
 
 // ---- nested: topology (cycle_sim.hpp's TopologyConfig) -----------------
 #define GOSSIP_SPEC_TOPOLOGY_FIELDS(X)                                      \
-  X(kind, "kind", ENUM, kTopologyNames, "newscast", ALWAYS, NOSET, "", "")  \
-  X(degree, "degree", U32, _, "20", ALWAYS, NOSET, "", "")                  \
-  X(beta, "beta", DBL, _, "0.0", ALWAYS, NOSET, "", "beta")                 \
-  X(cache_size, "cache_size", SIZE, _, "30", ALWAYS, NOSET, "",             \
-    "cache_size")
+  X(kind, "kind", ENUM, kTopologyNames, ALWAYS, NOSET, "")                  \
+  X(degree, "degree", U32, _, ALWAYS, NOSET, "")                            \
+  X(beta, "beta", DBL, _, ALWAYS, NOSET, "")                                \
+  X(cache_size, "cache_size", SIZE, _, ALWAYS, NOSET, "")
 
 // ---- nested: failure ---------------------------------------------------
 // waves/duration/components joined after the original kinds' provenance
 // hashes were pinned: IF_NONZERO keeps every pre-existing canonical
 // JSON byte-identical.
 #define GOSSIP_SPEC_FAILURE_FIELDS(X)                                       \
-  X(kind, "kind", ENUM, kFailureNames, "none", ALWAYS, NOSET, "", "")       \
-  X(p, "p", PROB, _, "0.0", ALWAYS, NOSET, "", "crash_p")                   \
-  X(cycle, "cycle", U32, _, "0", ALWAYS, NOSET, "", "death_cycle")          \
-  X(fraction, "fraction", PROB, _, "0.0", ALWAYS, NOSET, "",                \
-    "churn_fraction")                                                       \
-  X(rate, "rate", U32, _, "0", ALWAYS, NOSET, "", "")                       \
-  X(waves, "waves", U32, _, "0", IF_NONZERO, NOSET, "", "")                 \
-  X(duration, "duration", U32, _, "0", IF_NONZERO, NOSET, "",               \
-    "partition_duration")                                                   \
-  X(components, "components", U32, _, "0", IF_NONZERO, NOSET, "",           \
-    "partition_components")
+  X(kind, "kind", ENUM, kFailureNames, ALWAYS, NOSET, "")                   \
+  X(p, "p", PROB, _, ALWAYS, NOSET, "")                                     \
+  X(cycle, "cycle", U32, _, ALWAYS, NOSET, "")                              \
+  X(fraction, "fraction", PROB, _, ALWAYS, NOSET, "")                       \
+  X(rate, "rate", U32, _, ALWAYS, NOSET, "")                                \
+  X(waves, "waves", U32, _, IF_NONZERO, NOSET, "")                          \
+  X(duration, "duration", U32, _, IF_NONZERO, NOSET, "")                    \
+  X(components, "components", U32, _, IF_NONZERO, NOSET, "")
 
 // ---- nested: comm ------------------------------------------------------
 #define GOSSIP_SPEC_COMM_FIELDS(X)                                          \
-  X(link_failure, "link_failure", PROB, _, "0.0", ALWAYS, NOSET, "",        \
-    "link_p")                                                               \
-  X(message_loss, "message_loss", PROB, _, "0.0", ALWAYS, NOSET, "",        \
-    "loss_p")
+  X(link_failure, "link_failure", PROB, _, ALWAYS, NOSET, "")               \
+  X(message_loss, "message_loss", PROB, _, ALWAYS, NOSET, "")
 
 // ---- nested: adversary -------------------------------------------------
 #define GOSSIP_SPEC_ADVERSARY_FIELDS(X)                                     \
-  X(behavior, "behavior", ENUM, kAdversaryNames, "none", ALWAYS, SET,       \
-    "adversary", "")                                                        \
-  X(fraction, "fraction", DBL, _, "0.0", ALWAYS, SET, "adversary_fraction", \
-    "byz_fraction")                                                         \
-  X(value, "value", DBL, _, "0.0", ALWAYS, SET, "adversary_value", "")
+  X(behavior, "behavior", ENUM, kAdversaryNames, ALWAYS, SET, "adversary")  \
+  X(fraction, "fraction", DBL, _, ALWAYS, SET, "adversary_fraction")        \
+  X(value, "value", DBL, _, ALWAYS, SET, "adversary_value")
 
 // ---- nested: combine ---------------------------------------------------
 #define GOSSIP_SPEC_COMBINE_FIELDS(X)                                       \
-  X(kind, "kind", ENUM, kCombineNames, "mean", ALWAYS, SET, "combine", "")  \
-  X(alpha, "alpha", DBL, _, "0.0", ALWAYS, SET, "combine_alpha", "")        \
-  X(groups, "groups", U32, _, "0", ALWAYS, SET, "combine_groups", "")       \
-  X(window, "window", U32, _, "8", ALWAYS, SET, "combine_window", "")
+  X(kind, "kind", ENUM, kCombineNames, ALWAYS, SET, "combine")              \
+  X(alpha, "alpha", DBL, _, ALWAYS, SET, "combine_alpha")                   \
+  X(groups, "groups", U32, _, ALWAYS, SET, "combine_groups")                \
+  X(window, "window", U32, _, ALWAYS, SET, "combine_window")
 
 // ---- nested: drift -----------------------------------------------------
 #define GOSSIP_SPEC_DRIFT_FIELDS(X)                                         \
-  X(kind, "kind", ENUM, kDriftNames, "none", ALWAYS, SET, "drift", "")      \
-  X(rate, "rate", DBL, _, "0.0", ALWAYS, SET, "drift_rate", "")             \
-  X(magnitude, "magnitude", DBL, _, "0.0", ALWAYS, SET, "drift_magnitude",  \
-    "")                                                                     \
-  X(start_cycle, "start_cycle", U32, _, "0", ALWAYS, SET,                   \
-    "drift_start_cycle", "")
+  X(kind, "kind", ENUM, kDriftNames, ALWAYS, SET, "drift")                  \
+  X(rate, "rate", DBL, _, ALWAYS, SET, "drift_rate")                        \
+  X(magnitude, "magnitude", DBL, _, ALWAYS, SET, "drift_magnitude")         \
+  X(start_cycle, "start_cycle", U32, _, ALWAYS, SET, "drift_start_cycle")
 
 // ---- nested: service ---------------------------------------------------
 #define GOSSIP_SPEC_SERVICE_FIELDS(X)                                       \
-  X(pipeline, "pipeline", BOOL, _, "false", ALWAYS, SET,                    \
-    "service_pipeline", "")                                                 \
-  X(epoch_cycles, "epoch_cycles", U32, _, "0", ALWAYS, SET,                 \
-    "service_epoch_cycles", "")                                             \
-  X(staleness_bound, "staleness_bound", U32, _, "0", ALWAYS, SET,           \
-    "service_staleness_bound", "")
+  X(pipeline, "pipeline", BOOL, _, ALWAYS, SET, "service_pipeline")         \
+  X(epoch_cycles, "epoch_cycles", U32, _, ALWAYS, SET,                      \
+    "service_epoch_cycles")                                                 \
+  X(staleness_bound, "staleness_bound", U32, _, ALWAYS, SET,                \
+    "service_staleness_bound")
 
 // ---- nested: runtime ---------------------------------------------------
 #define GOSSIP_SPEC_RUNTIME_FIELDS(X)                                       \
-  X(workers, "workers", U32, _, "0", ALWAYS, SET, "runtime_workers", "")    \
-  X(wheel_slots, "wheel_slots", U32, _, "8", ALWAYS, SET,                   \
-    "runtime_wheel_slots", "")                                              \
-  X(delta_us, "delta_us", U32, _, "0", ALWAYS, SET, "runtime_delta_us",     \
-    "")                                                                     \
-  X(timeout_ms, "timeout_ms", U32, _, "2000", ALWAYS, SET,                  \
-    "runtime_timeout_ms", "")                                               \
-  X(transport, "transport", ENUM, kRuntimeTransportNames, "loopback",       \
-    ALWAYS, SET, "runtime_transport", "")                                   \
-  X(processes, "processes", U32, _, "1", ALWAYS, SET, "runtime_processes",  \
-    "")                                                                     \
-  X(process_index, "process_index", U32, _, "0", ALWAYS, SET,               \
-    "runtime_process_index", "")                                            \
-  X(port_base, "port_base", U32, _, "0", ALWAYS, SET, "runtime_port_base",  \
-    "")                                                                     \
-  X(latency, "latency", ENUM, kRuntimeLatencyNames, "none", ALWAYS, SET,    \
-    "runtime_latency", "")                                                  \
-  X(delay_lo_us, "delay_lo_us", U32, _, "0", ALWAYS, SET,                   \
-    "runtime_delay_lo_us", "")                                              \
-  X(delay_hi_us, "delay_hi_us", U32, _, "0", ALWAYS, SET,                   \
-    "runtime_delay_hi_us", "")
+  X(workers, "workers", U32, _, ALWAYS, SET, "runtime_workers")             \
+  X(wheel_slots, "wheel_slots", U32, _, ALWAYS, SET, "runtime_wheel_slots") \
+  X(delta_us, "delta_us", U32, _, ALWAYS, SET, "runtime_delta_us")          \
+  X(timeout_ms, "timeout_ms", U32, _, ALWAYS, SET, "runtime_timeout_ms")    \
+  X(transport, "transport", ENUM, kRuntimeTransportNames, ALWAYS, SET,      \
+    "runtime_transport")                                                    \
+  X(processes, "processes", U32, _, ALWAYS, SET, "runtime_processes")       \
+  X(process_index, "process_index", U32, _, ALWAYS, SET,                    \
+    "runtime_process_index")                                                \
+  X(port_base, "port_base", U32, _, ALWAYS, SET, "runtime_port_base")       \
+  X(latency, "latency", ENUM, kRuntimeLatencyNames, ALWAYS, SET,            \
+    "runtime_latency")                                                      \
+  X(delay_lo_us, "delay_lo_us", U32, _, ALWAYS, SET, "runtime_delay_lo_us") \
+  X(delay_hi_us, "delay_hi_us", U32, _, ALWAYS, SET, "runtime_delay_hi_us")
 
 // ---- nested: sweep -----------------------------------------------------
 #define GOSSIP_SPEC_SWEEP_FIELDS(X)                                         \
-  X(axis, "axis", ENUM, kAxisNames, "none", ALWAYS, NOSET, "", "")          \
-  X(points, "points", PTS, _, "[{0.0, 0}]", ALWAYS, NOSET, "", "")
+  X(axis, "axis", ENUM, kAxisNames, ALWAYS, NOSET, "")                      \
+  X(points, "points", PTS, _, ALWAYS, NOSET, "")
 
 // ---- nested: sweep.points entries --------------------------------------
 #define GOSSIP_SPEC_SWEEP_POINT_FIELDS(X)                                   \
-  X(value, "value", DBL, _, "0.0", ALWAYS, NOSET, "", "")                   \
-  X(seed_point, "seed_point", U64, _, "0", ALWAYS, NOSET, "", "")           \
-  X(label, "label", STR, _, "\"\"", IF_NONEMPTY, NOSET, "", "")
-
-// Every (group macro, introspection group label, json path prefix)
-// triple, for consumers that walk the whole surface at once.
-#define GOSSIP_SPEC_ALL_GROUPS(G)                                           \
-  G(GOSSIP_SPEC_TOP_FIELDS, "top", "")                                      \
-  G(GOSSIP_SPEC_TOPOLOGY_FIELDS, "topology", "topology.")                   \
-  G(GOSSIP_SPEC_FAILURE_FIELDS, "failure", "failure.")                      \
-  G(GOSSIP_SPEC_COMM_FIELDS, "comm", "comm.")                               \
-  G(GOSSIP_SPEC_ADVERSARY_FIELDS, "adversary", "adversary.")                \
-  G(GOSSIP_SPEC_COMBINE_FIELDS, "combine", "combine.")                      \
-  G(GOSSIP_SPEC_DRIFT_FIELDS, "drift", "drift.")                            \
-  G(GOSSIP_SPEC_SERVICE_FIELDS, "service", "service.")                      \
-  G(GOSSIP_SPEC_RUNTIME_FIELDS, "runtime", "runtime.")                      \
-  G(GOSSIP_SPEC_SWEEP_FIELDS, "sweep", "sweep.")                            \
-  G(GOSSIP_SPEC_SWEEP_POINT_FIELDS, "sweep.points", "sweep.points.")
+  X(value, "value", DBL, _, ALWAYS, NOSET, "")                              \
+  X(seed_point, "seed_point", U64, _, ALWAYS, NOSET, "")                    \
+  X(label, "label", STR, _, IF_NONEMPTY, NOSET, "")

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/env.hpp"
 #include "common/json.hpp"
@@ -40,9 +44,10 @@ TEST(SpecRoundTrip, EveryRegisteredScenarioSurvivesParseSerializeParse) {
 
 TEST(SpecRoundTrip, DoublesSurviveBitForBit) {
   ScenarioSpec spec = ScenarioSpec::average_peak("doubles", 100, 5);
-  spec.topology.beta = 0.1 + 0.2;  // 0.30000000000000004
+  // beta = 0.30000000000000004
+  spec.topology = TopologyConfig::watts_strogatz(20, 0.1 + 0.2);
   spec.comm.message_loss = 1.0 / 3.0;
-  spec.failure = FailureSpec::churn_fraction(0.005 * 3);
+  spec.failure = FailureSpec::sudden_death(2, 0.005 * 3);
   spec.with_sweep(SweepAxis::kLossP, {{0.1, 7, ""}, {1.0 / 7.0, 8, ""}});
   const ScenarioSpec reparsed = spec_from_json(to_json(spec));
   EXPECT_EQ(reparsed.topology.beta, spec.topology.beta);
@@ -744,6 +749,91 @@ TEST(SpecValidation, PartitionFieldsNeedAPartitionPlan) {
       message);
 }
 
+TEST(SpecValidation, SpecsTheRunCouldNotHonorFailWithOneLine) {
+  // Run, each spec would abort with exit 3 (a static generator's
+  // precondition, joins on a static overlay) or ignore one of its
+  // fields. Validation must reject it with a one-line SpecError naming
+  // the field; a failing sweep point's message ends in
+  // " at sweep point <v>".
+  struct Case {
+    const char* json;
+    const char* names;                  ///< a fragment the message holds
+    std::optional<double> sweep_point;  ///< the failing point's value
+  };
+  const Case cases[] = {
+      // The static generators' preconditions.
+      {R"({"name":"a","nodes":10,"topology":{"kind":"ring_lattice"}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":2,
+           "topology":{"kind":"random_k_out","degree":5}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":5,
+           "topology":{"kind":"barabasi_albert","degree":10}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":50,
+           "topology":{"kind":"ring_lattice","degree":5}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "topology":{"kind":"watts_strogatz","degree":3,"beta":0.2}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "topology":{"kind":"barabasi_albert","degree":1}})",
+       "topology.degree", {}},
+      {R"({"name":"a","nodes":4,"cycles":5,"driver":"runtime",
+           "runtime":{"workers":1},
+           "topology":{"kind":"ring_lattice","degree":4}})",
+       "topology.degree", {}},
+      // Joins on a static overlay.
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "topology":{"kind":"random_k_out","degree":5},
+           "failure":{"kind":"churn","rate":2}})",
+       "churn", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,"engine":"intra_rep",
+           "topology":{"kind":"ring_lattice","degree":4},
+           "failure":{"kind":"churn_fraction","fraction":0.01}})",
+       "churn", {}},
+      // Fields the driver or topology ignores.
+      {R"({"name":"a","nodes":300,"cycles":5,"atomic_exchanges":false})",
+       "atomic_exchanges", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,"atomic_exchanges":false,
+           "driver":"push_sum"})",
+       "atomic_exchanges", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "sweep":{"axis":"atomicity",
+                    "points":[{"value":1,"seed_point":1},
+                              {"value":0,"seed_point":2}]}})",
+       "atomic_exchanges", 0.0},
+      {R"({"name":"a","nodes":300,"cycles":5,"topology":{"kind":"newscast"},
+           "sweep":{"axis":"beta","points":[{"value":0,"seed_point":1},
+                                            {"value":1,"seed_point":1}]}})",
+       "topology.beta", 1.0},
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "topology":{"kind":"random_k_out","degree":10,"cache_size":5}})",
+       "topology.cache_size", {}},
+      {R"({"name":"a","nodes":300,"cycles":5,
+           "topology":{"kind":"complete","degree":7}})",
+       "topology.degree", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.json);
+    try {
+      (void)spec_from_json(c.json);
+      ADD_FAILURE() << "the spec validates";
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+      EXPECT_NE(what.find(c.names), std::string::npos) << what;
+      if (c.sweep_point) {
+        EXPECT_TRUE(what.ends_with(" at sweep point " +
+                                   std::to_string(*c.sweep_point)))
+            << what;
+      } else {
+        EXPECT_EQ(what.find("sweep point"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(SpecValidation, RunSingleRejectsWhatValidateRejects) {
   ScenarioSpec stray_runtime = ScenarioSpec::average_peak("x", 100, 5);
   stray_runtime.runtime.workers = 1;  // runtime.* needs driver 'runtime'
@@ -769,12 +859,10 @@ TEST(SpecValidation, RunSingleRejectsWhatValidateRejects) {
 // --------------------------------------------------------- spec surface
 //
 // The descriptor table (spec_fields.hpp) is the single source of truth
-// for the spec surface; these tests pin every row to a golden SpecError
-// and a --set round-trip, and assert the hand-maintained case tables
-// cover the generated table EXACTLY — adding a field without extending
-// the cases here fails the coverage assertion (and
-// tools/spec_surface_lint.py fails CI if the dotted path never appears
-// in this file at all).
+// for the spec surface; these tests pin every row to a golden SpecError,
+// a --set round-trip and its row in EXPERIMENTS.md's field reference,
+// each checked against the generated table EXACTLY — adding a field
+// without extending the cases here or the reference fails a test.
 
 struct FieldErrorCase {
   const char* json_path;  ///< dotted path, must match a descriptor row
@@ -1090,6 +1178,140 @@ TEST(SpecSurface, FieldTableIsWellFormed) {
   EXPECT_EQ(set_keys_from_table.size(), a.size()) << "duplicate set keys";
   EXPECT_EQ(generated.size(), b.size()) << "duplicate generated set keys";
   EXPECT_EQ(a, b);
+}
+
+/// The cells of one markdown table row, split at unescaped '|', trimmed,
+/// with a cell's enclosing backticks removed.
+std::vector<std::string> table_cells(const std::string& line) {
+  std::vector<std::string> cells;
+  std::string cell;
+  for (std::size_t i = 1; i < line.size(); ++i) {  // past the leading '|'
+    if (line[i] != '|' || line[i - 1] == '\\') {
+      cell += line[i];
+      continue;
+    }
+    const std::size_t first = cell.find_first_not_of(' ');
+    cell = first == std::string::npos
+               ? std::string()
+               : cell.substr(first, cell.find_last_not_of(' ') - first + 1);
+    if (cell.size() >= 2 && cell.front() == '`' && cell.back() == '`') {
+      cell = cell.substr(1, cell.size() - 2);
+    }
+    cells.push_back(cell);
+    cell.clear();
+  }
+  return cells;
+}
+
+struct FieldReferenceRow {
+  std::string type;
+  std::string set_key;
+  std::string sweep_axis;
+};
+
+/// The rows of EXPERIMENTS.md's "### Field reference" table by path.
+std::map<std::string, FieldReferenceRow> field_reference() {
+  std::ifstream in(GOSSIP_SOURCE_DIR "/EXPERIMENTS.md");
+  EXPECT_TRUE(in.is_open()) << "cannot read EXPERIMENTS.md";
+  std::string line;
+  while (std::getline(in, line) && line != "### Field reference") {
+  }
+  std::map<std::string, FieldReferenceRow> rows;
+  bool header = true;
+  while (std::getline(in, line) && !line.starts_with("#")) {
+    if (!line.starts_with("|")) continue;
+    const std::vector<std::string> cells = table_cells(line);
+    if (header) {
+      EXPECT_EQ(cells, (std::vector<std::string>{"path", "type", "default",
+                                                 "`--set` key", "sweep axis",
+                                                 "meaning"}));
+      header = false;
+      continue;
+    }
+    if (cells.size() != 6) {
+      ADD_FAILURE() << "not a six-cell row: " << line;
+      continue;
+    }
+    if (cells[0].starts_with("---")) continue;  // the separator row
+    EXPECT_TRUE(rows.emplace(cells[0], FieldReferenceRow{cells[1], cells[3],
+                                                         cells[4]})
+                    .second)
+        << "path listed twice: " << cells[0];
+  }
+  return rows;
+}
+
+/// Every leaf of canonical JSON `v` under `path`, dumped, by dotted path.
+std::map<std::string, std::string> json_leaves(const json::Value& v,
+                                               const std::string& path = "") {
+  if (v.kind() != json::Kind::kObject) return {{path, v.dump()}};
+  std::map<std::string, std::string> leaves;
+  for (const auto& [key, child] : v.as_object()) {
+    leaves.merge(json_leaves(child, path.empty() ? key : path + "." + key));
+  }
+  return leaves;
+}
+
+TEST(SpecSurface, FieldReferenceMatchesTheCode) {
+  const std::map<std::string, FieldReferenceRow> doc = field_reference();
+
+  // Exactly one row per descriptor path, and no other rows.
+  std::set<std::string> documented;
+  for (const auto& [path, row] : doc) documented.insert(path);
+  std::set<std::string> table;
+  for (const SpecFieldDescriptor& d : spec_field_table()) {
+    table.insert(d.json_path);
+  }
+  EXPECT_EQ(documented, table);
+
+  // The type cell is the word for the row's tag; the --set cell is its
+  // key, or "—" when it has none.
+  static const std::map<std::string, std::string> kTypeWords = {
+      {"STR", "string"}, {"U32", "u32"},   {"U64", "u64"},
+      {"UNS", "unsigned"}, {"SIZE", "size"}, {"DBL", "double"},
+      {"PROB", "prob"},  {"BOOL", "bool"}, {"ENUM", "enum"},
+      {"OBJ", "object"}, {"PTS", "array"},
+  };
+  for (const SpecFieldDescriptor& d : spec_field_table()) {
+    const auto row = doc.find(d.json_path);
+    if (row == doc.end()) continue;  // reported above
+    SCOPED_TRACE(d.json_path);
+    EXPECT_EQ(row->second.type, kTypeWords.at(d.type));
+    EXPECT_EQ(row->second.set_key, *d.set_key != '\0' ? d.set_key : "—");
+  }
+
+  // The sweep-axis cell names a path whose value at_point() changes for
+  // that axis, and each axis but 'none' is named by exactly one row.
+  std::map<std::string, ScenarioSpec> swept;  // by axis name
+  for (int a = static_cast<int>(SweepAxis::kNone) + 1;; ++a) {
+    const auto axis = static_cast<SweepAxis>(a);
+    ScenarioSpec spec;
+    spec.with_sweep(axis,
+                    {{axis == SweepAxis::kAtomicity ? 0.0 : 2.0, 1, ""}});
+    try {
+      swept.emplace(to_string(axis), spec);
+    } catch (const SpecError&) {
+      break;  // past the last axis
+    }
+  }
+  std::map<std::string, int> rows_per_axis;
+  for (const auto& [path, row] : doc) {
+    if (row.sweep_axis == "—") continue;
+    SCOPED_TRACE(path);
+    ++rows_per_axis[row.sweep_axis];
+    const auto it = swept.find(row.sweep_axis);
+    if (it == swept.end()) {
+      ADD_FAILURE() << "no sweep axis '" << row.sweep_axis << "'";
+      continue;
+    }
+    const ScenarioSpec& spec = it->second;
+    EXPECT_NE(json_leaves(json::parse(to_json(spec)))[path],
+              json_leaves(json::parse(to_json(spec.at_point(0))))[path])
+        << "sweep axis '" << row.sweep_axis << "' leaves it unchanged";
+  }
+  for (const auto& [axis, spec] : swept) {
+    EXPECT_EQ(rows_per_axis[axis], 1) << "sweep axis '" << axis << "'";
+  }
 }
 
 // ----------------------------------------------------------------- hash
