@@ -12,8 +12,9 @@
 namespace gossip::core {
 
 /// The paper's combiner. `instance_estimates` are the t per-instance
-/// outputs available at one node at the end of an epoch.
-inline double robust_combine(std::span<const double> instance_estimates) {
+/// outputs available at one node at the end of an epoch; they are
+/// reordered in place.
+inline double robust_combine(std::span<double> instance_estimates) {
   return stats::trimmed_mean_third(instance_estimates);
 }
 

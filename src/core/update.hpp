@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <concepts>
+#include <cstddef>
 
 #include "common/require.hpp"
 
@@ -62,6 +63,46 @@ inline double apply_update(UpdateKind kind, double a, double b) {
     case UpdateKind::kMin: return MinUpdate::apply(a, b);
     case UpdateKind::kMax: return MaxUpdate::apply(a, b);
     case UpdateKind::kGeometric: return GeometricMeanUpdate::apply(a, b);
+  }
+  GOSSIP_REQUIRE(false, "unreachable update kind");
+}
+
+/// One exchange over t concurrent instance lanes (§7.3): the rows `p`
+/// and `q` of two distinct nodes, which never overlap. A completed
+/// exchange installs F(p[i], q[i]) on both rows; when the response is
+/// lost only the passive peer's row `q` does. Each loop is free of
+/// branches for every policy but the geometric mean's precondition, so
+/// it vectorizes (the lane_kernels_vectorized ctest checks it does).
+template <UpdateFunction F>
+inline void update_lanes(double* __restrict p, double* __restrict q,
+                         std::size_t lanes, bool completed) {
+  if (completed) {
+    for (std::size_t i = 0; i < lanes; ++i) {  // lane-kernel: update-both
+      const double u = F::apply(p[i], q[i]);
+      p[i] = u;
+      q[i] = u;
+    }
+  } else {
+    for (std::size_t i = 0; i < lanes; ++i) {  // lane-kernel: update-passive
+      q[i] = F::apply(p[i], q[i]);
+    }
+  }
+}
+
+/// update_lanes under the policy `kind` names: the one dispatch per
+/// exchange, outside the lane loop.
+[[gnu::always_inline]] inline void update_lanes(UpdateKind kind, double* p,
+                                                double* q, std::size_t lanes,
+                                                bool completed) {
+  switch (kind) {
+    case UpdateKind::kAverage:
+      return update_lanes<AverageUpdate>(p, q, lanes, completed);
+    case UpdateKind::kMin:
+      return update_lanes<MinUpdate>(p, q, lanes, completed);
+    case UpdateKind::kMax:
+      return update_lanes<MaxUpdate>(p, q, lanes, completed);
+    case UpdateKind::kGeometric:
+      return update_lanes<GeometricMeanUpdate>(p, q, lanes, completed);
   }
   GOSSIP_REQUIRE(false, "unreachable update kind");
 }

@@ -65,15 +65,14 @@ void CycleSimulation::record_stats() {
   // order — the stream the serial goldens are pinned against.
   const std::uint32_t t = config_.instances;
   const bool track_values = !values_.empty();
-  std::vector<stats::RunningStats> lanes(t);
+  stats::LaneStats lanes(t);
   stats::RunningStats values;
   for (NodeId u : population_.live()) {
     if (!counted(u)) continue;
-    const double* e = &estimates_[static_cast<std::size_t>(u.value()) * t];
-    for (std::uint32_t i = 0; i < t; ++i) lanes[i].add(e[i]);
+    lanes.add(&estimates_[static_cast<std::size_t>(u.value()) * t]);
     if (track_values) values.add(values_[u.value()]);
   }
-  record_snapshot(std::move(lanes), values.mean());
+  record_snapshot(lanes.split(), values.mean());
 }
 
 }  // namespace gossip::experiment

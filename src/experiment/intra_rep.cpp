@@ -425,12 +425,9 @@ void IntraRepSimulation::record_stats() {
   const std::uint32_t t = config_.instances;
   const std::uint32_t total = population_.total();
   const bool track_values = !values_.empty();
-  // Allocate once, clear inside the parallel pass: the old per-cycle
-  // `assign` serially re-zeroed kStatsSegments × t entries — at t = 10⁴
-  // lanes that is ~25 MB of single-threaded memset per cycle, which
-  // dominated the whole stats phase.
-  const std::size_t want = static_cast<std::size_t>(kStatsSegments) * t;
-  if (seg_stats_.size() != want) seg_stats_.resize(want);
+  // Allocated once and cleared inside the parallel pass, so no serial
+  // pass re-zeroes kStatsSegments × t streams every cycle.
+  seg_stats_.resize(kStatsSegments);
   if (track_values && val_seg_stats_.size() != kStatsSegments) {
     val_seg_stats_.resize(kStatsSegments);
   }
@@ -439,13 +436,12 @@ void IntraRepSimulation::record_stats() {
         static_cast<std::uint64_t>(total) * s / kStatsSegments);
     const std::uint32_t hi = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(total) * (s + 1) / kStatsSegments);
-    stats::RunningStats* seg = &seg_stats_[s * t];
-    std::fill_n(seg, t, stats::RunningStats{});
+    stats::LaneStats& seg = seg_stats_[s];
+    seg.reset(t);
     for (std::uint32_t u = lo; u < hi; ++u) {
       const NodeId p(u);
       if (!population_.alive_unchecked(p) || !counted(p)) continue;
-      const double* e = &estimates_[static_cast<std::size_t>(u) * t];
-      for (std::uint32_t i = 0; i < t; ++i) seg[i].add(e[i]);
+      seg.add(&estimates_[static_cast<std::size_t>(u) * t]);
     }
     if (track_values) {
       // Second fold input: the underlying values over the same counted
@@ -464,7 +460,7 @@ void IntraRepSimulation::record_stats() {
   std::vector<stats::RunningStats> lanes(t);
   for (std::uint32_t i = 0; i < t; ++i) {
     for (std::uint32_t s = 0; s < kStatsSegments; ++s) {
-      lane_scratch_[s] = seg_stats_[static_cast<std::size_t>(s) * t + i];
+      lane_scratch_[s] = seg_stats_[s].lane(i);
     }
     lanes[i] = stats::merge_tree(lane_scratch_);
   }

@@ -201,7 +201,7 @@ private:
   /// Per-apply-job robust-combine staging (pairs are disjoint, so
   /// window/estimate writes are race-free; only the scratch is per job).
   std::vector<CombineScratch> combine_scratch_;
-  std::vector<stats::RunningStats> seg_stats_;   // [segment * t + lane]
+  std::vector<stats::LaneStats> seg_stats_;  // [segment], every lane
   std::vector<stats::RunningStats> lane_scratch_;  // merge_tree input
   std::vector<stats::RunningStats> val_seg_stats_;  // [segment], values
   std::vector<membership::NewscastNetwork::MergeBuffers> merge_buffers_;

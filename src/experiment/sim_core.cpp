@@ -197,13 +197,6 @@ void SimulationCore::apply_failures(const failure::CycleEvent& event,
   GOSSIP_REQUIRE(config_.topology.kind == TopologyKind::kNewscast ||
                      config_.topology.kind == TopologyKind::kComplete,
                  "joins need a dynamic overlay (newscast or complete)");
-  // Joins only ever grow the per-node arrays; reserve the whole batch up
-  // front so churn plans don't pay a reallocation per joiner.
-  estimates_.reserve(estimates_.size() +
-                     static_cast<std::size_t>(event.joins) *
-                         config_.instances);
-  participant_.reserve(participant_.size() + event.joins);
-  if (overlay_.newscast) overlay_.newscast->reserve_joins(event.joins);
   for (std::uint32_t j = 0; j < event.joins; ++j) {
     const NodeId contact = population_.sample_live(rng_);
     const NodeId fresh = population_.add();

@@ -12,8 +12,10 @@
 //   * pairing — shuffled sequential sampling vs propose/match;
 //   * kill batching — draw-kill-draw and swap-remove vs
 //     sample_distinct + Population::kill_many's stable compaction;
-//   * the statistics reduction — one Welford stream vs the fixed
-//     64-segment merge_tree (their float results differ; both pinned);
+//   * the statistics reduction around the shared lane accumulator
+//     (stats::LaneStats) — one pass over the live list vs 64 fixed
+//     segments folded by merge_tree (their float results differ; both
+//     pinned);
 //   * plumbing — the intra-rep engine's id-space shards, pool and phase
 //     profile.
 #pragma once
@@ -447,18 +449,9 @@ protected:
     double* ep = &estimates_[static_cast<std::size_t>(p) * t];
     double* eq = &estimates_[static_cast<std::size_t>(q) * t];
     if (!general_) {  // the exact paper path
-      const core::UpdateKind kind = config_.update;
-      if (outcome == failure::ExchangeOutcome::kCompleted) {
-        for (std::uint32_t i = 0; i < t; ++i) {
-          const double u = core::apply_update(kind, ep[i], eq[i]);
-          ep[i] = u;
-          eq[i] = u;
-        }
-      } else {  // kResponseLost: the passive peer q updated, p never heard
-        for (std::uint32_t i = 0; i < t; ++i) {
-          eq[i] = core::apply_update(kind, ep[i], eq[i]);
-        }
-      }
+      // A lost response (kResponseLost) updates the passive peer q only.
+      core::update_lanes(config_.update, ep, eq, t,
+                         outcome == failure::ExchangeOutcome::kCompleted);
       return;
     }
     const double rp = ep[0];

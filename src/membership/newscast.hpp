@@ -106,9 +106,10 @@ public:
   /// plus a fresh descriptor of the contact (the §4.2 join rule).
   void add_node(NodeId id, NodeId contact, std::uint64_t now);
 
-  /// Reserves pool capacity for `extra` future joins (churn plans know
-  /// their join volume up front; this keeps the growth path
-  /// reallocation-free).
+  /// Reserves pool capacity for exactly `extra` more joins. An exact
+  /// reserve defeats the pool's geometric growth, so call it once with
+  /// the total: called once per batch of joins, it reallocates and
+  /// copies the whole pool every time.
   void reserve_joins(std::size_t extra);
 
   [[nodiscard]] ConstCacheView cache(NodeId id) const;

@@ -22,4 +22,19 @@ void RunningStats::merge(const RunningStats& other) {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
+void LaneStats::reset(std::size_t lanes) {
+  count_ = 0;
+  mean_.assign(lanes, 0.0);
+  m2_.assign(lanes, 0.0);
+  min_.assign(lanes, std::numeric_limits<double>::infinity());
+  max_.assign(lanes, -std::numeric_limits<double>::infinity());
+}
+
+std::vector<RunningStats> LaneStats::split() const {
+  std::vector<RunningStats> out;
+  out.reserve(lanes());
+  for (std::size_t i = 0; i < lanes(); ++i) out.push_back(lane(i));
+  return out;
+}
+
 }  // namespace gossip::stats

@@ -39,19 +39,24 @@ double percentile(std::span<const double> values, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-double trimmed_mean(std::span<const double> values, std::size_t trim) {
+double trimmed_mean(std::span<double> values, std::size_t trim) {
   GOSSIP_REQUIRE(!values.empty(), "trimmed mean of empty sample");
   GOSSIP_REQUIRE(2 * trim < values.size(),
                  "trim would discard the whole sample");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
+  // Two selections place the cut points, so only the kept middle is
+  // sorted: the same values in the same order as a full sort would
+  // leave there, so the same sum.
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(trim);
+  const auto hi = values.end() - static_cast<std::ptrdiff_t>(trim);
+  std::nth_element(values.begin(), lo, values.end());
+  std::nth_element(lo, hi, values.end());
+  std::sort(lo, hi);
   double sum = 0.0;
-  const std::size_t hi = sorted.size() - trim;
-  for (std::size_t i = trim; i < hi; ++i) sum += sorted[i];
-  return sum / static_cast<double>(hi - trim);
+  for (auto it = lo; it != hi; ++it) sum += *it;
+  return sum / static_cast<double>(hi - lo);
 }
 
-double trimmed_mean_third(std::span<const double> values) {
+double trimmed_mean_third(std::span<double> values) {
   GOSSIP_REQUIRE(!values.empty(), "trimmed mean of empty sample");
   return trimmed_mean(values, values.size() / 3);
 }

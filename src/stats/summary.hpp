@@ -24,12 +24,14 @@ Summary summarize(std::span<const double> values);
 /// Linear-interpolation percentile, p in [0,1]. Requires non-empty input.
 double percentile(std::span<const double> values, double p);
 
-/// The paper's robust combiner (§7.3): sort the t estimates, drop the
-/// ⌊t/3⌋ lowest and ⌊t/3⌋ highest, average the rest. With fewer than three
-/// values nothing is dropped.
-double trimmed_mean_third(std::span<const double> values);
+/// The paper's robust combiner (§7.3): drop the ⌊t/3⌋ lowest and ⌊t/3⌋
+/// highest of the t estimates, average the rest. With fewer than three
+/// values nothing is dropped. Reorders `values` in place.
+double trimmed_mean_third(std::span<double> values);
 
-/// General trimmed mean dropping `trim` values from each side.
-double trimmed_mean(std::span<const double> values, std::size_t trim);
+/// General trimmed mean dropping `trim` values from each side: the sum
+/// of the kept values in ascending order over their count. Reorders
+/// `values` in place, so callers pass a scratch copy.
+double trimmed_mean(std::span<double> values, std::size_t trim);
 
 }  // namespace gossip::stats

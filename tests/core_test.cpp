@@ -326,12 +326,12 @@ TEST(JoinGate, JoinersWaitForNextEpoch) {
 
 TEST(MultiInstance, CombineDropsTails) {
   // t = 6: drop 2 lowest + 2 highest, average the middle 2.
-  const std::vector<double> est{1.0, 2.0, 99000.0, 101000.0, 1e7, 1e8};
+  std::vector<double> est{1.0, 2.0, 99000.0, 101000.0, 1e7, 1e8};
   EXPECT_DOUBLE_EQ(robust_combine(est), 100000.0);
 }
 
 TEST(MultiInstance, SingleInstancePassesThrough) {
-  const std::vector<double> est{123.0};
+  std::vector<double> est{123.0};
   EXPECT_DOUBLE_EQ(robust_combine(est), 123.0);
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/stream_salt.hpp"
+#include "experiment/cycle_sim.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/intra_rep.hpp"
 #include "experiment/parallel_runner.hpp"
@@ -96,6 +97,58 @@ TEST(GoldenValues, AverageUnderProportionalCrashOnKOut) {
 
   EXPECT_EQ(run.per_cycle.back().mean(), 1.1794175772831357);
   EXPECT_EQ(run.per_cycle.back().variance(), 0.084835512286016407);
+}
+
+// Every lane of a multi-instance COUNT run, not just lane 0: one FNV-1a
+// digest per engine over the bits of (count, mean, variance, min, max) of
+// every lane at every snapshot, then every size_estimates() value. The
+// digests were captured from the scalar per-lane loops and full-sort
+// trimmed mean the shared lane kernels replaced. An odd lane count
+// exercises the vectorized loops' scalar tails; message loss takes the
+// response-lost branch of the exchange.
+std::uint64_t lane_digest(const SimulationCore& sim) {
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= kFnvPrime;
+    }
+  };
+  for (const auto& snapshot : sim.instance_cycle_stats()) {
+    for (const stats::RunningStats& lane : snapshot) {
+      mix(lane.count());
+      for (double x : {lane.mean(), lane.variance(), lane.min(), lane.max()}) {
+        mix(std::bit_cast<std::uint64_t>(x));
+      }
+    }
+  }
+  for (double size : sim.size_estimates()) {
+    mix(std::bit_cast<std::uint64_t>(size));
+  }
+  return h;
+}
+
+TEST(GoldenValues, CountLaneDigestUnderChurnOnBothEngines) {
+  SimConfig cfg;
+  cfg.nodes = 400;
+  cfg.cycles = 12;
+  cfg.instances = 37;
+  cfg.topology = TopologyConfig::newscast(10);
+  cfg.comm = failure::CommFailureModel::message_loss(0.05);
+  const failure::Churn plan(4);
+
+  CycleSimulation serial(cfg, Rng(2024));
+  serial.init_count_leaders();
+  serial.run(plan);
+  ASSERT_EQ(serial.instance_cycle_stats().size(), cfg.cycles + 1u);
+  EXPECT_EQ(lane_digest(serial), 0x1fe5ed69d1f04508ull);
+
+  IntraRepSimulation intra(cfg, 2024, 2);
+  intra.init_count_leaders();
+  ParallelRunner pool(2);
+  intra.run(plan, pool);
+  ASSERT_EQ(intra.instance_cycle_stats().size(), cfg.cycles + 1u);
+  EXPECT_EQ(lane_digest(intra), 0x6b5f7178f1b9d588ull);
 }
 
 // --------------------------------------------- thread-count invariance

@@ -1,8 +1,13 @@
-// Tests for src/stats: Welford statistics, merge law, summaries,
-// percentiles, the paper's ⌊t/3⌋ trimmed mean, convergence tracking.
+// Tests for src/stats: Welford statistics, the lane accumulator, merge
+// law, summaries, percentiles, the paper's ⌊t/3⌋ trimmed mean,
+// convergence tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/require.hpp"
@@ -91,6 +96,73 @@ TEST(RunningStats, NumericallyStableAroundLargeOffset) {
   for (int i = 0; i < 1000; ++i) rs.add(1e9 + (i % 2 == 0 ? 0.5 : -0.5));
   EXPECT_NEAR(rs.mean(), 1e9, 1e-3);
   EXPECT_NEAR(rs.variance(), 0.25 * 1000.0 / 999.0, 1e-6);
+}
+
+void expect_same_bits(double a, double b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << a << " vs " << b;
+}
+
+/// Bit equality, except that any NaN matches any NaN. Which operand's
+/// NaN an addition of two NaNs returns depends on the operand order the
+/// compiler picks (GCC's -O2 and -O3 builds of the same stream differ),
+/// so a NaN's sign and payload carry no meaning.
+void expect_same_bits_or_nan(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return;
+  expect_same_bits(a, b);
+}
+
+void expect_same_stream(const RunningStats& a, const RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  expect_same_bits_or_nan(a.mean(), b.mean());
+  expect_same_bits_or_nan(a.variance(), b.variance());
+  expect_same_bits_or_nan(a.population_variance(), b.population_variance());
+  expect_same_bits(a.min(), b.min());
+  expect_same_bits(a.max(), b.max());
+}
+
+TEST(LaneStats, EqualsIndependentStreamsBitForBit) {
+  // Rows of ordinary values salted with every value the branch-free
+  // min/max and the Welford update must treat like RunningStats::add:
+  // ±inf (whose differences turn a lane's mean into NaN), ±0.0 and NaN.
+  // min and max never turn NaN, so they match bit for bit.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {kInf, -kInf, -0.0, 0.0,
+                             std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(0x1a2e5);
+  for (std::size_t t : {1u, 2u, 3u, 7u, 1000u}) {
+    SCOPED_TRACE(testing::Message() << "t=" << t);
+    LaneStats lanes(t);
+    std::vector<RunningStats> streams(t);
+    std::vector<double> row(t);
+    for (std::size_t r = 0; r < 40; ++r) {
+      for (double& x : row) {
+        x = rng.chance(0.02) ? specials[rng.below(std::size(specials))]
+                             : rng.uniform(-1e3, 1e3);
+      }
+      lanes.add(row.data());
+      for (std::size_t i = 0; i < t; ++i) streams[i].add(row[i]);
+    }
+    ASSERT_EQ(lanes.lanes(), t);
+    const std::vector<RunningStats> split = lanes.split();
+    ASSERT_EQ(split.size(), t);
+    for (std::size_t i = 0; i < t; ++i) {
+      SCOPED_TRACE(testing::Message() << "lane " << i);
+      expect_same_stream(lanes.lane(i), streams[i]);
+      expect_same_stream(split[i], streams[i]);
+    }
+  }
+}
+
+TEST(LaneStats, ResetEmptiesEveryLane) {
+  LaneStats lanes(3);
+  const double row[] = {1.0, -2.0, 5.0};
+  lanes.add(row);
+  lanes.reset(2);
+  ASSERT_EQ(lanes.lanes(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    expect_same_stream(lanes.lane(i), RunningStats{});
+  }
 }
 
 TEST(MergeTree, EmptyAndSingle) {
@@ -199,31 +271,73 @@ TEST(Percentile, RejectsEmptyAndBadP) {
 }
 
 TEST(TrimmedMean, NoTrimIsMean) {
-  const std::vector<double> v{1.0, 2.0, 3.0};
+  std::vector<double> v{1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(trimmed_mean(v, 0), 2.0);
 }
 
 TEST(TrimmedMean, DropsOutliers) {
-  const std::vector<double> v{-1000.0, 1.0, 2.0, 3.0, 1000.0};
+  std::vector<double> v{-1000.0, 1.0, 2.0, 3.0, 1000.0};
   EXPECT_DOUBLE_EQ(trimmed_mean(v, 1), 2.0);
 }
 
 TEST(TrimmedMean, RejectsTotalTrim) {
-  const std::vector<double> v{1.0, 2.0};
+  std::vector<double> v{1.0, 2.0};
   EXPECT_THROW(trimmed_mean(v, 1), require_error);
   EXPECT_THROW(trimmed_mean({}, 0), require_error);
 }
 
+/// The full-sort trimmed mean trimmed_mean must reproduce bit for bit.
+double full_sort_trimmed_mean(std::vector<double> values, std::size_t trim) {
+  std::sort(values.begin(), values.end());
+  double sum = 0.0;
+  for (std::size_t i = trim; i < values.size() - trim; ++i) sum += values[i];
+  return sum / static_cast<double>(values.size() - 2 * trim);
+}
+
+TEST(TrimmedMean, SelectionEqualsFullSortBitForBit) {
+  // Few distinct values force ties at the cut points; +inf is what the
+  // COUNT size estimate feeds for a lane whose estimate is not positive.
+  Rng rng(0x7a11);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  for (std::size_t n : sizes) {
+    for (const bool ties : {true, false}) {
+      std::vector<double> input(n);
+      for (double& x : input) {
+        if (rng.chance(0.1)) {
+          x = std::numeric_limits<double>::infinity();
+        } else {
+          x = ties ? 0.25 * static_cast<double>(rng.below(6))
+                   : rng.uniform(0.0, 1e4);
+        }
+      }
+      for (std::size_t trim = 0; 2 * trim < n; ++trim) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " ties=" << ties
+                                        << " trim=" << trim);
+        std::vector<double> scratch = input;
+        expect_same_bits(trimmed_mean(scratch, trim),
+                         full_sort_trimmed_mean(input, trim));
+        // In place: the input is reordered, never changed.
+        std::sort(scratch.begin(), scratch.end());
+        std::vector<double> sorted = input;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(scratch, sorted);
+      }
+    }
+  }
+}
+
 TEST(TrimmedMeanThird, PaperRule) {
   // t = 7: drop floor(7/3) = 2 from each side, average the middle 3.
-  const std::vector<double> v{0.0, 0.1, 10.0, 11.0, 12.0, 100.0, 200.0};
+  std::vector<double> v{0.0, 0.1, 10.0, 11.0, 12.0, 100.0, 200.0};
   EXPECT_DOUBLE_EQ(trimmed_mean_third(v), 11.0);
 }
 
 TEST(TrimmedMeanThird, SmallSamplesKeepEverything) {
-  const std::vector<double> one{5.0};
+  std::vector<double> one{5.0};
   EXPECT_DOUBLE_EQ(trimmed_mean_third(one), 5.0);
-  const std::vector<double> two{4.0, 6.0};
+  std::vector<double> two{4.0, 6.0};
   EXPECT_DOUBLE_EQ(trimmed_mean_third(two), 5.0);
 }
 

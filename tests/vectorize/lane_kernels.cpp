@@ -1,0 +1,15 @@
+// The lane kernels alone, for the lane_kernels_vectorized ctest
+// (check_vectorized.py): the AVERAGE lane update of a completed and of a
+// response-lost exchange, and the per-lane statistics fold — COUNT's
+// per-exchange and per-snapshot loops.
+#include <cstddef>
+
+#include "core/update.hpp"
+#include "stats/running_stats.hpp"
+
+void lane_kernels(double* p, double* q, std::size_t lanes, bool completed,
+                  gossip::stats::LaneStats& stats) {
+  gossip::core::update_lanes<gossip::core::AverageUpdate>(p, q, lanes,
+                                                          completed);
+  stats.add(p);
+}
