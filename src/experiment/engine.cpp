@@ -29,7 +29,8 @@ namespace {
 /// large — a single smaller repetition is faster serial than sharded.
 constexpr std::uint32_t kIntraRepAutoThreshold = 500'000;
 
-SimConfig sim_config_of(const ScenarioSpec& spec) {
+SimConfig sim_config_of(const ScenarioSpec& spec,
+                        const failure::FailurePlan& plan) {
   SimConfig cfg;
   cfg.nodes = spec.nodes;
   cfg.cycles = spec.cycles;
@@ -47,6 +48,7 @@ SimConfig sim_config_of(const ScenarioSpec& spec) {
                      spec.failure.components};
   }
   cfg.epoch_restarts = spec.failure.kind == FailureSpec::Kind::kRestart;
+  cfg.total_joins = plan.total_joins(spec.cycles);
   cfg.drift = spec.drift;
   cfg.service = spec.service;
   return cfg;
@@ -123,13 +125,15 @@ RunResult finish_run(const Sim& sim, const ScenarioSpec& spec) {
 
 RunResult exec_cycle(const ScenarioSpec& spec, std::uint64_t seed,
                      const failure::FailurePlan* plan_override) {
-  SimConfig cfg = sim_config_of(spec);
+  const auto spec_plan = spec.failure.build(spec.nodes);
+  const failure::FailurePlan& plan =
+      plan_override != nullptr ? *plan_override : *spec_plan;
+  SimConfig cfg = sim_config_of(spec, plan);
   cfg.stream_seed = seed;  // the engine-invariant drift stream key
   CycleSimulation sim(cfg, Rng(seed));
   init_workload(sim, spec, seed);
-  const auto plan = spec.failure.build(spec.nodes);
   const auto start = std::chrono::steady_clock::now();
-  sim.run(plan_override != nullptr ? *plan_override : *plan);
+  sim.run(plan);
   RunResult out = finish_run(sim, spec);
   out.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -140,13 +144,15 @@ RunResult exec_cycle(const ScenarioSpec& spec, std::uint64_t seed,
 RunResult exec_intra(const ScenarioSpec& spec, std::uint64_t seed,
                      const failure::FailurePlan* plan_override,
                      unsigned shards, ParallelRunner& pool) {
-  SimConfig cfg = sim_config_of(spec);
+  const auto spec_plan = spec.failure.build(spec.nodes);
+  const failure::FailurePlan& plan =
+      plan_override != nullptr ? *plan_override : *spec_plan;
+  SimConfig cfg = sim_config_of(spec, plan);
   cfg.stream_seed = seed;  // same key as exec_cycle — cross-engine parity
   IntraRepSimulation sim(cfg, seed, shards);
   init_workload(sim, spec, seed);
-  const auto plan = spec.failure.build(spec.nodes);
   const auto start = std::chrono::steady_clock::now();
-  sim.run(plan_override != nullptr ? *plan_override : *plan, pool);
+  sim.run(plan, pool);
   RunResult out = finish_run(sim, spec);
   out.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -207,19 +213,6 @@ RunResult exec_push_sum(const ScenarioSpec& spec, std::uint64_t seed) {
   return out;
 }
 
-/// Upper bound on nodes the failure plan may join over the whole run —
-/// preallocation headroom for the executor's churn path.
-std::uint32_t runtime_join_headroom(const ScenarioSpec& spec) {
-  std::uint32_t per_cycle = 0;
-  if (spec.failure.kind == FailureSpec::Kind::kChurn) {
-    per_cycle = spec.failure.rate;
-  } else if (spec.failure.kind == FailureSpec::Kind::kChurnFraction) {
-    per_cycle = static_cast<std::uint32_t>(
-        static_cast<double>(spec.nodes) * spec.failure.fraction);
-  }
-  return per_cycle * spec.cycles;
-}
-
 RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
                        const failure::FailurePlan* plan_override,
                        unsigned threads) {
@@ -233,7 +226,11 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.cycle_timeout = std::chrono::milliseconds(rt.timeout_ms);
   cfg.seed = seed;
   cfg.initial = initial_values(spec, seed);
-  cfg.max_joins = runtime_join_headroom(spec);
+  const auto spec_plan = spec.failure.build(spec.nodes);
+  const failure::FailurePlan& plan =
+      plan_override != nullptr ? *plan_override : *spec_plan;
+  // Preallocation headroom for the executor's churn path.
+  cfg.max_joins = static_cast<std::uint32_t>(plan.total_joins(spec.cycles));
 
   // The overlay must be identical in every cooperating process, so the
   // static graphs are a pure function of the repetition seed alone. The
@@ -298,9 +295,7 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   }
 
   runtime::Executor executor(std::move(cfg), *transport);
-  const auto plan = spec.failure.build(spec.nodes);
-  const runtime::ExecutorResult result =
-      executor.run(plan_override != nullptr ? *plan_override : *plan);
+  const runtime::ExecutorResult result = executor.run(plan);
 
   RunResult out;
   out.per_cycle = result.per_cycle;

@@ -303,9 +303,9 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   // buffers writes disjoint cache slots — race-free without locks, and
   // chunk boundaries cannot influence any merge result. Because of that
   // invariance the chunk count follows the *worker* count, not the shard
-  // count: each MergeBuffers carries two O(total-ids) mark arrays, and
-  // sizing them by GOSSIP_SHARDS (up to 4096) would be pure memory waste
-  // when only pool_->threads() jobs ever run at once.
+  // count: each MergeBuffers carries one dedup byte per registered id,
+  // and sizing them by GOSSIP_SHARDS (up to 4096) would be pure memory
+  // waste when only pool_->threads() jobs ever run at once.
   const std::size_t chunks =
       std::min<std::size_t>(shards_, std::max(1u, pool_->threads()));
   if (merge_buffers_.size() < chunks) merge_buffers_.resize(chunks);

@@ -119,6 +119,14 @@ SimulationCore::SimulationCore(const SimConfig& config, Rng rng)
       sampler_(make_sampler(overlay_, population_)) {
   GOSSIP_REQUIRE(config.nodes >= 2, "simulation needs at least two nodes");
   GOSSIP_REQUIRE(config.instances >= 1, "need at least one instance");
+  // Joins append to every per-node array. Reserving the plan's whole join
+  // volume before the first fill means no join batch re-copies one.
+  const std::size_t capacity = config.nodes + config.total_joins;
+  estimates_.reserve(capacity * config.instances);
+  participant_.reserve(capacity);
+  byz_.reserve(capacity);
+  population_.reserve(capacity);
+  if (overlay_.newscast) overlay_.newscast->reserve_joins(config.total_joins);
   estimates_.assign(static_cast<std::size_t>(config.nodes) *
                         config.instances,
                     0.0);
@@ -312,6 +320,7 @@ void SimulationCore::run_cycles(const failure::FailurePlan& plan) {
   pin_injected_values();
   if (config_.epoch_restarts) initial_ = estimates_;
   if (config_.drift.enabled() || config_.service.enabled()) {
+    values_.reserve(config_.nodes + config_.total_joins);
     values_ = estimates_;  // v_u starts where the estimate starts
   }
   record_stats();  // σ²_0

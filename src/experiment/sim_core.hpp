@@ -286,6 +286,11 @@ struct SimConfig {
   /// True when the failure plan emits epoch-restart events: the driver
   /// snapshots initial estimates at run() start so a restart can re-seed.
   bool epoch_restarts = false;
+  /// Nodes the failure plan joins over the whole run
+  /// (FailurePlan::total_joins). The core reserves every per-node array
+  /// for them once, at construction; 0 reserves nothing, and joins then
+  /// grow the arrays geometrically.
+  std::uint64_t total_joins = 0;
   DriftSpec drift;     ///< dynamic local values, none() by default
   ServiceSpec service;  ///< epoch pipelining + snapshot query service
   /// Seed of the engine-invariant per-(cycle,node) streams (drift). The

@@ -54,6 +54,12 @@ public:
   /// Event to apply before `cycle` (0-based) given the current live count.
   [[nodiscard]] virtual CycleEvent before_cycle(std::uint32_t cycle,
                                                 std::uint32_t live) const = 0;
+
+  /// Nodes the plan joins over a run of `cycles` cycles, so a driver can
+  /// size its per-node arrays once. Only Churn joins.
+  [[nodiscard]] virtual std::uint64_t total_joins(std::uint32_t) const {
+    return 0;
+  }
 };
 
 /// The §3 baseline: a static network.
@@ -97,6 +103,9 @@ public:
   explicit Churn(std::uint32_t rate);
   CycleEvent before_cycle(std::uint32_t cycle,
                           std::uint32_t live) const override;
+  std::uint64_t total_joins(std::uint32_t cycles) const override {
+    return std::uint64_t{rate_} * cycles;
+  }
 
 private:
   std::uint32_t rate_;

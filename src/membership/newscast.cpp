@@ -1,11 +1,82 @@
 #include "membership/newscast.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <deque>
+#include <type_traits>
 
 #include "common/require.hpp"
 
 namespace gossip::membership {
+
+namespace {
+
+// The merge kernel compares entries as packed keys: the high word is the
+// flipped timestamp and the low word the id, so ascending key order is
+// `fresher` order and equal keys are equal entries.
+constexpr std::uint64_t kFlipTimestamp = 0xffffffffULL << 32;
+
+constexpr std::uint64_t key_of(CacheEntry e) {
+  return std::bit_cast<std::uint64_t>(e) ^ kFlipTimestamp;
+}
+
+constexpr CacheEntry entry_of(std::uint64_t key) {
+  return std::bit_cast<CacheEntry>(key ^ kFlipTimestamp);
+}
+
+// Pads every run: above each cache entry's key, since the one entry
+// packing to it, {invalid id, timestamp 0}, is never cached.
+constexpr std::uint64_t kEnd = ~std::uint64_t{0};
+
+// A platform where the packing would misorder entries fails to build
+// instead of silently moving every NEWSCAST result.
+static_assert(std::is_trivially_copyable_v<CacheEntry>);
+static_assert(std::endian::native == std::endian::little,
+              "key_of needs the id in the low word");
+
+/// Key order is `fresher` order, equal keys are equal entries, and every
+/// key round-trips and sits below kEnd, for each pair drawn from the
+/// extreme timestamps and ids (equal timestamps included).
+constexpr bool keys_order_like_fresher() {
+  constexpr std::uint32_t ids[] = {0, 1, 0xfffffffe};
+  constexpr std::uint64_t times[] = {0, 1, CacheEntry::kMaxTimestamp};
+  for (const std::uint32_t ia : ids) {
+    for (const std::uint64_t ta : times) {
+      const CacheEntry a{NodeId(ia), ta};
+      if (entry_of(key_of(a)) != a || key_of(a) == kEnd) return false;
+      for (const std::uint32_t ib : ids) {
+        for (const std::uint64_t tb : times) {
+          const CacheEntry b{NodeId(ib), tb};
+          if ((key_of(a) < key_of(b)) != fresher(a, b)) return false;
+          if ((key_of(a) == key_of(b)) != (a == b)) return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+static_assert(keys_order_like_fresher(),
+              "packed keys must order cache entries like fresher()");
+
+/// Returns `v` unchanged but hides where it came from, so the compiler
+/// cannot thread the comparisons that follow back into the min that made
+/// it. Without it GCC turns the merge step's min into data-dependent
+/// jumps, which mispredict about every other step.
+inline std::uint64_t opaque(std::uint64_t v) {
+  __asm__("" : "+r"(v));
+  return v;
+}
+
+/// Copies a freshest-first run into `out` as keys, then the end key.
+/// Returns one past the end key.
+std::uint64_t* load_run(std::span<const CacheEntry> run, std::uint64_t* out) {
+  for (const CacheEntry& e : run) *out++ = key_of(e);
+  *out++ = kEnd;
+  return out;
+}
+
+}  // namespace
 
 bool NewscastNetwork::ConstCacheView::contains(NodeId id) const {
   const auto es = entries();
@@ -28,9 +99,6 @@ void NewscastNetwork::CacheView::insert(CacheEntry entry) {
 NewscastNetwork::NewscastNetwork(std::size_t cache_size)
     : cache_size_(cache_size) {
   GOSSIP_REQUIRE(cache_size >= 1, "newscast needs cache size >= 1");
-  buffers_.scratch.reserve(cache_size_);
-  buffers_.incoming.reserve(cache_size_ + 1);
-  buffers_.merged.reserve(cache_size_);
 }
 
 std::span<const CacheEntry> NewscastNetwork::view(NodeId id) const {
@@ -52,110 +120,99 @@ NewscastNetwork::CacheView NewscastNetwork::cache(NodeId id) {
   return CacheView(this, id.value());
 }
 
-std::uint32_t NewscastNetwork::begin_merge(MergeBuffers& buffers) const {
-  // Every mark array and the epoch stamp must advance together — this is
-  // the single place that invariant lives. Fresh per-thread buffers (and
-  // joins growing the id space) catch up lazily; new slots hold epoch 0,
-  // which never equals a live stamp.
-  if (buffers.mark.size() < sizes_.size()) {
-    buffers.mark.resize(sizes_.size(), 0u);
+std::size_t NewscastNetwork::merge_union(
+    MergeBuffers& buffers, std::span<const CacheEntry> first,
+    std::span<const CacheEntry> second,
+    std::span<const CacheEntry> fresh) const {
+  // The hottest code of every NEWSCAST simulation: one call per exchange,
+  // one exchange per node per cycle. Each step takes the smallest head
+  // key (the freshest entry left) and advances every run whose head
+  // equals it, so an entry found in two runs is emitted once. The dedup
+  // is one byte per id: the entry is always written, and the length
+  // grows only for an id not yet in the list (an older copy is written
+  // past the end and then overwritten). The loop exits and the scan for
+  // ids beyond the registered space (hand-built test views) are its
+  // only branches.
+  const std::size_t want = cache_size_ + 1;
+  // One key past the last run's end key: the loop reads one key ahead.
+  const std::size_t key_count =
+      first.size() + second.size() + fresh.size() + 4;
+  if (buffers.keys.size() < key_count) buffers.keys.resize(key_count);
+  if (buffers.merged.size() < want) buffers.merged.resize(want);
+  if (buffers.seen.size() < sizes_.size()) {
+    buffers.seen.resize(sizes_.size(), 0);
   }
-  if (buffers.mark2.size() < sizes_.size()) {
-    buffers.mark2.resize(sizes_.size(), 0u);
+  std::uint64_t* const run0 = buffers.keys.data();
+  std::uint64_t* const run1 = load_run(first, run0);
+  std::uint64_t* const run2 = load_run(second, run1);
+  load_run(fresh, run2);
+  const std::uint64_t* p0 = run0;
+  const std::uint64_t* p1 = run1;
+  const std::uint64_t* p2 = run2;
+
+  std::uint8_t* const seen = buffers.seen.data();
+  const std::size_t limit = buffers.seen.size();
+  std::uint64_t* const out = buffers.merged.data();
+  std::size_t len = 0;
+  // Each run's head and the key after it live in registers: a step moves
+  // the next key up by a conditional move and loads the one after, so
+  // the next step's min never waits on a load. A run at its end key
+  // never advances, so the key read past it is never used.
+  std::uint64_t x = p0[0], x_next = p0[1];
+  std::uint64_t y = p1[0], y_next = p1[1];
+  std::uint64_t z = p2[0], z_next = p2[1];
+  while (len < want) {
+    const std::uint64_t m = opaque(std::min(std::min(x, y), z));
+    if (m == kEnd) break;  // every run exhausted
+    const bool ax = x == m;
+    const bool ay = y == m;
+    const bool az = z == m;
+    p0 += ax ? 1 : 0;
+    p1 += ay ? 1 : 0;
+    p2 += az ? 1 : 0;
+    x = ax ? x_next : x;
+    y = ay ? y_next : y;
+    z = az ? z_next : z;
+    x_next = p0[1];
+    y_next = p1[1];
+    z_next = p2[1];
+    const auto id = static_cast<std::uint32_t>(m);
+    if (id < limit) [[likely]] {
+      out[len] = m;
+      len += seen[id] ^ 1u;
+      seen[id] = 1;
+    } else if (std::none_of(out, out + len, [id](std::uint64_t kept) {
+                 return static_cast<std::uint32_t>(kept) == id;
+               })) {
+      out[len++] = m;
+    }
   }
-  ++buffers.epoch;
-  if (buffers.epoch == 0) {  // stamp wrap: invalidate all stale marks
-    std::fill(buffers.mark.begin(), buffers.mark.end(), 0u);
-    std::fill(buffers.mark2.begin(), buffers.mark2.end(), 0u);
-    buffers.epoch = 1;
+  for (std::size_t i = 0; i < len; ++i) {
+    const auto id = static_cast<std::uint32_t>(out[i]);
+    if (id < limit) seen[id] = 0;
   }
-  return buffers.epoch;
+  return len;
+}
+
+void NewscastNetwork::keep_union(const MergeBuffers& buffers, std::size_t len,
+                                 std::uint32_t node, NodeId self) {
+  CacheEntry* const slot =
+      pool_.data() + static_cast<std::size_t>(node) * cache_size_;
+  std::uint32_t kept = 0;
+  for (std::size_t i = 0; i < len && kept < cache_size_; ++i) {
+    const std::uint64_t key = buffers.merged[i];
+    slot[kept] = entry_of(key);
+    kept += static_cast<std::uint32_t>(key) != self.value() ? 1 : 0;
+  }
+  sizes_[node] = kept;
 }
 
 void NewscastNetwork::merge_into(MergeBuffers& buffers, std::uint32_t node,
                                  std::span<const CacheEntry> received,
-                                 CacheEntry sender_fresh, NodeId self,
-                                 bool received_sorted) {
-  // The hottest code in every newscast simulation (two calls per
-  // exchange, one exchange per node per cycle). Three ingredients keep
-  // it allocation-free and out of O(c²):
-  //  * a 3-way merge over (slot, received, fresh descriptor) — the
-  //    received span is consumed in place, never copied or re-packed;
-  //  * duplicate-id suppression via an epoch-stamped marker array
-  //    (mark[id] == epoch means "already kept this merge"), O(1) per
-  //    candidate instead of scanning the output;
-  //  * merged as caller-owned staging reused across merges.
-  // The pick order reproduces NewscastCache::merge exactly: on equal
-  // (timestamp, id) keys the incoming side wins over the slot, and the
-  // fresh descriptor wins over received entries (the old lower_bound
-  // insertion point). Golden-tested in tests/determinism_test.cpp.
-  if (!received_sorted &&
-      !std::is_sorted(received.begin(), received.end(), fresher)) {
-    // Public callers may hand us arbitrary spans; slot views are always
-    // sorted, so this copy only happens off the hot path.
-    buffers.incoming.assign(received.begin(), received.end());
-    std::sort(buffers.incoming.begin(), buffers.incoming.end(), fresher);
-    received = buffers.incoming;
-  }
-
-  const std::uint32_t epoch = begin_merge(buffers);
-  const auto mark_limit = static_cast<std::uint32_t>(buffers.mark.size());
-  if (self.is_valid() && self.value() < mark_limit) {
-    buffers.mark[self.value()] = epoch;  // never retain our own descriptor
-  }
-
-  CacheEntry* slot =
-      pool_.data() + static_cast<std::size_t>(node) * cache_size_;
-  const std::size_t current = sizes_[node];
-
-  auto& merged = buffers.merged;
-  merged.clear();
-  const auto keep = [&](const CacheEntry& e) {
-    if (e.id.value() >= mark_limit) {
-      // Ids the network has never registered (hand-built test views);
-      // fall back to scanning the staged output.
-      if (e.id == self) return;
-      for (const CacheEntry& k : merged) {
-        if (k.id == e.id) return;
-      }
-      merged.push_back(e);
-      return;
-    }
-    auto& mark = buffers.mark[e.id.value()];
-    if (mark == epoch) return;  // an earlier (fresher) copy won
-    mark = epoch;
-    merged.push_back(e);
-  };
-
-  std::size_t i = 0, j = 0;
-  bool fresh_pending = sender_fresh.id.is_valid();
-  while (merged.size() < cache_size_) {
-    // Head of the incoming stream: the fresh descriptor goes before any
-    // received entry it doesn't strictly lose to.
-    const CacheEntry* in = nullptr;
-    bool in_is_fresh = false;
-    if (fresh_pending &&
-        (j >= received.size() || !fresher(received[j], sender_fresh))) {
-      in = &sender_fresh;
-      in_is_fresh = true;
-    } else if (j < received.size()) {
-      in = &received[j];
-    }
-    if (i < current && (in == nullptr || fresher(slot[i], *in))) {
-      keep(slot[i++]);
-    } else if (in != nullptr) {
-      keep(*in);
-      if (in_is_fresh) {
-        fresh_pending = false;
-      } else {
-        ++j;
-      }
-    } else {
-      break;  // both streams exhausted
-    }
-  }
-  std::copy(merged.begin(), merged.end(), slot);
-  sizes_[node] = static_cast<std::uint32_t>(merged.size());
+                                 CacheEntry sender_fresh, NodeId self) {
+  const std::size_t len =
+      merge_union(buffers, view(NodeId(node)), received, {&sender_fresh, 1});
+  keep_union(buffers, len, node, self);
 }
 
 void NewscastNetwork::grow_one(NodeId id) {
@@ -171,11 +228,6 @@ void NewscastNetwork::bootstrap_random(std::uint32_t n, std::uint64_t now,
   const std::size_t fill = std::min<std::size_t>(cache_size_, n - 1);
   pool_.assign(static_cast<std::size_t>(n) * cache_size_, CacheEntry{});
   sizes_.assign(n, static_cast<std::uint32_t>(fill));
-  // Both mark arrays restart with the epoch: a re-bootstrapped network
-  // must not dedup against stamps of its previous life.
-  buffers_.mark.assign(n, 0);
-  buffers_.mark2.assign(n, 0);
-  buffers_.epoch = 0;
   // Each view is written once, and equals what inserting the draws one
   // merge at a time would leave: every descriptor carries `now`, so
   // `fresher` orders them by ascending id; they are distinct and at most
@@ -200,11 +252,10 @@ void NewscastNetwork::add_node(NodeId id, NodeId contact,
   GOSSIP_REQUIRE(contact.is_valid() && contact.value() < sizes_.size(),
                  "join contact out of range");
   grow_one(id);
-  // The contact's view must be snapshotted before merging: the merge
-  // writes into the (possibly reallocated) pool the span points into.
-  buffers_.scratch.assign(view(contact).begin(), view(contact).end());
-  merge_into(buffers_, id.value(), buffers_.scratch, CacheEntry{contact, now},
-             id, /*received_sorted=*/true);
+  // The contact's view is read after grow_one, whose pool growth may
+  // move it, and the merge reads it before writing the newcomer's slot.
+  merge_into(buffers_, id.value(), view(contact), CacheEntry{contact, now},
+             id);
   // The contact learns about the newcomer in return (it served the join).
   merge_into(buffers_, contact.value(), {}, CacheEntry{id, now},
              NodeId::invalid());
@@ -213,7 +264,7 @@ void NewscastNetwork::add_node(NodeId id, NodeId contact,
 void NewscastNetwork::reserve_joins(std::size_t extra) {
   pool_.reserve(pool_.size() + extra * cache_size_);
   sizes_.reserve(sizes_.size() + extra);
-  buffers_.mark.reserve(buffers_.mark.size() + extra);
+  buffers_.seen.reserve(sizes_.size() + extra);
 }
 
 void NewscastNetwork::exchange(NodeId a, NodeId b, std::uint64_t now) {
@@ -226,94 +277,17 @@ void NewscastNetwork::exchange(MergeBuffers& buffers, NodeId a, NodeId b,
   GOSSIP_REQUIRE(a.is_valid() && a.value() < sizes_.size() &&
                      b.is_valid() && b.value() < sizes_.size(),
                  "exchange() id out of range");
-  // Fused dual merge: both directions of the push–pull consume the same
-  // two sorted slots, so one 4-stream walk (slot a, slot b, the two
-  // fresh self-descriptors) feeds both output stagings — half the stream
-  // comparisons of two independent merges, and no snapshot copy, because
-  // neither slot is written until the walk is done. Candidate order and
-  // keep rules reproduce merge_into for each direction exactly (each
-  // output self-skips its own node's descriptors; on equal (timestamp,
-  // id) keys the entries are identical by value, so either copy serves
-  // both outputs) — pinned by the goldens in tests/determinism_test.cpp.
-  const CacheEntry* const slot_a =
-      pool_.data() + static_cast<std::size_t>(a.value()) * cache_size_;
-  const CacheEntry* const slot_b =
-      pool_.data() + static_cast<std::size_t>(b.value()) * cache_size_;
-  const std::uint32_t len_a = sizes_[a.value()];
-  const std::uint32_t len_b = sizes_[b.value()];
-
-  const std::uint32_t epoch = begin_merge(buffers);
-  const auto mark_limit = static_cast<std::uint32_t>(sizes_.size());
-  buffers.mark[a.value()] = epoch;   // a never retains its own descriptor
-  buffers.mark2[b.value()] = epoch;  // nor b its own
-
-  auto& out_a = buffers.merged;
-  auto& out_b = buffers.merged2;
-  out_a.clear();
-  out_b.clear();
-  const auto keep = [&](std::vector<CacheEntry>& out,
-                        std::vector<std::uint32_t>& mark, NodeId self,
-                        const CacheEntry& e) {
-    if (out.size() >= cache_size_) return;
-    if (e.id.value() >= mark_limit) {
-      // Ids the network never registered (hand-built test views).
-      if (e.id == self) return;
-      for (const CacheEntry& k : out) {
-        if (k.id == e.id) return;
-      }
-      out.push_back(e);
-      return;
-    }
-    auto& m = mark[e.id.value()];
-    if (m == epoch) return;  // an earlier (fresher) copy won
-    m = epoch;
-    out.push_back(e);
-  };
-
-  const CacheEntry fresh_a{a, now};
-  const CacheEntry fresh_b{b, now};
-  bool pending_a = true;  // fresh descriptors not yet emitted
-  bool pending_b = true;
-  std::uint32_t i = 0;  // slot_a cursor
-  std::uint32_t j = 0;  // slot_b cursor
-  while (out_a.size() < cache_size_ || out_b.size() < cache_size_) {
-    // Globally freshest candidate; consideration order resolves ties the
-    // way the pairwise merges did (fresh descriptors before any slot
-    // entry they don't strictly lose to).
-    const CacheEntry* next = nullptr;
-    int source = -1;  // 0: fresh_a, 1: fresh_b, 2: slot_b, 3: slot_a
-    if (pending_a) {
-      next = &fresh_a;
-      source = 0;
-    }
-    if (pending_b && (next == nullptr || fresher(fresh_b, *next))) {
-      next = &fresh_b;
-      source = 1;
-    }
-    if (j < len_b && (next == nullptr || fresher(slot_b[j], *next))) {
-      next = &slot_b[j];
-      source = 2;
-    }
-    if (i < len_a && (next == nullptr || fresher(slot_a[i], *next))) {
-      next = &slot_a[i];
-      source = 3;
-    }
-    if (next == nullptr) break;  // all four streams exhausted
-    keep(out_a, buffers.mark, a, *next);
-    keep(out_b, buffers.mark2, b, *next);
-    switch (source) {
-      case 0: pending_a = false; break;
-      case 1: pending_b = false; break;
-      case 2: ++j; break;
-      default: ++i; break;
-    }
-  }
-  std::copy(out_a.begin(), out_a.end(),
-            pool_.data() + static_cast<std::size_t>(a.value()) * cache_size_);
-  std::copy(out_b.begin(), out_b.end(),
-            pool_.data() + static_cast<std::size_t>(b.value()) * cache_size_);
-  sizes_[a.value()] = static_cast<std::uint32_t>(out_a.size());
-  sizes_[b.value()] = static_cast<std::uint32_t>(out_b.size());
+  // Both directions of the push–pull merge the same union: both slots
+  // and both fresh self-descriptors (each side's own descriptor is the
+  // one id its merge drops). So one union serves both sides, and each
+  // keeps it minus its own id; the union is built before either slot is
+  // written, so both sides merge the pre-exchange views.
+  const CacheEntry lo{std::min(a, b), now};
+  const CacheEntry hi{std::max(a, b), now};
+  const std::array<CacheEntry, 2> fresh{lo, hi};
+  const std::size_t len = merge_union(buffers, view(a), view(b), fresh);
+  keep_union(buffers, len, a.value(), a);
+  keep_union(buffers, len, b.value(), b);
 }
 
 void NewscastNetwork::exchange_partial(MergeBuffers& buffers, NodeId a,
@@ -324,22 +298,22 @@ void NewscastNetwork::exchange_partial(MergeBuffers& buffers, NodeId a,
   GOSSIP_REQUIRE(a.is_valid() && a.value() < sizes_.size() &&
                      b.is_valid() && b.value() < sizes_.size(),
                  "exchange() id out of range");
-  // Two pairwise merges over *pre-exchange* snapshots (the fused dual
-  // merge doesn't apply: the directions are asymmetric). Both outgoing
-  // views are snapshotted before either merge lands so neither side sees
-  // the other's post-merge cache.
-  auto& snap_a = buffers.scratch;
-  auto& snap_b = buffers.scratch2;
-  if (a_sends_cache) snap_a.assign(view(a).begin(), view(a).end());
-  if (b_sends_cache) snap_b.assign(view(b).begin(), view(b).end());
-  merge_into(buffers, b.value(),
-             a_sends_cache ? std::span<const CacheEntry>(snap_a)
-                           : std::span<const CacheEntry>{},
-             CacheEntry{a, now}, b, /*received_sorted=*/true);
-  merge_into(buffers, a.value(),
-             b_sends_cache ? std::span<const CacheEntry>(snap_b)
-                           : std::span<const CacheEntry>{},
-             CacheEntry{b, now}, a, /*received_sorted=*/true);
+  if (a_sends_cache && b_sends_cache) {
+    exchange(buffers, a, b, now);
+    return;
+  }
+  // At most one side sends its cache. The side that receives it merges
+  // first, while the sender's slot still holds its pre-exchange view;
+  // the other merge receives no view, so its order does not matter.
+  if (b_sends_cache) {
+    merge_into(buffers, a.value(), view(b), CacheEntry{b, now}, a);
+    merge_into(buffers, b.value(), {}, CacheEntry{a, now}, b);
+  } else {
+    merge_into(buffers, b.value(),
+               a_sends_cache ? view(a) : std::span<const CacheEntry>{},
+               CacheEntry{a, now}, b);
+    merge_into(buffers, a.value(), {}, CacheEntry{b, now}, a);
+  }
 }
 
 void NewscastNetwork::run_cycle(const overlay::Population& population,
@@ -358,6 +332,10 @@ void NewscastNetwork::run_cycle(const overlay::Population& population,
   // reordering is sampling initiator i before applying exchange i-1,
   // which is observationally identical unless exchange i-1 touches
   // initiator i's own cache; that rare overlap flushes eagerly below.
+  // The shuffled order also names each initiator in advance, so the slot
+  // and view size of the one kAhead places on are prefetched: sampling
+  // its peer then reads cached lines instead of two misses in a row.
+  constexpr std::size_t kAhead = 8;
   NodeId pending_a = NodeId::invalid();
   NodeId pending_b = NodeId::invalid();
   const auto flush_pending = [&] {
@@ -376,7 +354,13 @@ void NewscastNetwork::run_cycle(const overlay::Population& population,
     }
   };
 
-  for (NodeId initiator : order_) {
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    const NodeId initiator = order_[k];
+    if (k + kAhead < order_.size()) {
+      const NodeId ahead = order_[k + kAhead];
+      __builtin_prefetch(&sizes_[ahead.value()], /*rw=*/0, /*locality=*/1);
+      prefetch_slot(ahead);
+    }
     // A node killed earlier in this same cycle no longer initiates.
     if (!population.alive_unchecked(initiator)) continue;
     if (initiator == pending_a || initiator == pending_b) {

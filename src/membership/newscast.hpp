@@ -8,8 +8,8 @@
 // pool_[u*c .. u*c + size_[u]), sorted freshest-first. One simulated
 // network at N=100k used to be 100k separately allocated entry vectors;
 // now it is one allocation, which kills the per-cache malloc traffic and
-// makes the cycle walk cache-friendly. Merge semantics are identical to
-// NewscastCache::merge (golden-tested in tests/determinism_test.cpp).
+// makes the cycle walk cache-friendly. Every merge leaves the view that
+// NewscastCache::merge would; membership_test checks each merge path.
 //
 // All merge scratch state lives in an explicit MergeBuffers value, so
 // several threads can exchange caches of *disjoint* node pairs
@@ -33,19 +33,14 @@ namespace gossip::membership {
 /// Per-node NEWSCAST caches for an entire simulated network.
 class NewscastNetwork {
 public:
-  /// Scratch state of the merge hot path. One instance per thread when
-  /// exchanges run concurrently on disjoint pairs; reused across merges
-  /// so the path stays allocation-free. The *2 members belong to the
-  /// second output of the fused dual-merge exchange.
+  /// Scratch state of the merge kernel: one per thread when exchanges run
+  /// concurrently on disjoint pairs, reused so merges never allocate.
+  /// Merges size it lazily to the registered id space, so a default-
+  /// constructed value serves any network, grown through joins or not.
   struct MergeBuffers {
-    std::vector<CacheEntry> scratch;    // join-path snapshot buffer
-    std::vector<CacheEntry> scratch2;   // exchange_partial second snapshot
-    std::vector<CacheEntry> incoming;   // merge unsorted-input copy
-    std::vector<CacheEntry> merged;     // merge output staging
-    std::vector<CacheEntry> merged2;    // exchange() second output staging
-    std::vector<std::uint32_t> mark;    // id -> epoch of last merge keep
-    std::vector<std::uint32_t> mark2;   // same, second output
-    std::uint32_t epoch = 0;            // dedup stamp
+    std::vector<std::uint64_t> keys;    // packed inputs, sentinel-padded
+    std::vector<std::uint64_t> merged;  // freshest-first distinct union
+    std::vector<std::uint8_t> seen;     // id -> 1 while in merged; else 0
   };
 
   /// Read-only handle to one node's slice of the entry pool. Cheap to
@@ -106,10 +101,10 @@ public:
   /// plus a fresh descriptor of the contact (the §4.2 join rule).
   void add_node(NodeId id, NodeId contact, std::uint64_t now);
 
-  /// Reserves pool capacity for exactly `extra` more joins. An exact
-  /// reserve defeats the pool's geometric growth, so call it once with
-  /// the total: called once per batch of joins, it reallocates and
-  /// copies the whole pool every time.
+  /// Reserves the pool, the slot sizes and the default buffers' dedup
+  /// bytes for exactly `extra` more joins. An exact reserve defeats
+  /// geometric growth, so call it once with the total: called once per
+  /// batch of joins, it reallocates and copies the whole pool each time.
   void reserve_joins(std::size_t extra);
 
   [[nodiscard]] ConstCacheView cache(NodeId id) const;
@@ -186,22 +181,26 @@ private:
     }
   }
 
-  /// Lazily sizes both mark arrays to the registered id space and
-  /// advances the dedup epoch (clearing every mark on wrap). Returns the
-  /// epoch to stamp with.
-  std::uint32_t begin_merge(MergeBuffers& buffers) const;
+  /// The merge kernel: the freshest-first, distinct-by-id union of three
+  /// freshest-first runs (which may alias the slots written next), cut at
+  /// cache_size_ + 1 ids, into buffers.merged. Returns its length.
+  std::size_t merge_union(MergeBuffers& buffers,
+                          std::span<const CacheEntry> first,
+                          std::span<const CacheEntry> second,
+                          std::span<const CacheEntry> fresh) const;
 
-  /// The NEWSCAST merge into node's pool slot: from the union of the
-  /// current slot, `received`, and the sender's fresh descriptor, keep
-  /// the `cache_size_` freshest distinct entries, never retaining `self`.
-  /// Identical semantics to NewscastCache::merge. `received_sorted`
-  /// promises the span is already freshest-first (true for every slot
-  /// view and slot snapshot), skipping the O(c) is_sorted probe on the
-  /// hot path.
+  /// Writes the first `len` union entries other than `self`, at most
+  /// cache_size_, into node's slot.
+  void keep_union(const MergeBuffers& buffers, std::size_t len,
+                  std::uint32_t node, NodeId self);
+
+  /// The NEWSCAST merge into node's slot: from the union of the slot,
+  /// the freshest-first view `received` and the sender's fresh
+  /// descriptor, keep the `cache_size_` freshest distinct entries, never
+  /// retaining `self` (invalid: no id is dropped).
   void merge_into(MergeBuffers& buffers, std::uint32_t node,
                   std::span<const CacheEntry> received,
-                  CacheEntry sender_fresh, NodeId self,
-                  bool received_sorted = false);
+                  CacheEntry sender_fresh, NodeId self);
 
   /// Appends an empty slot for `id` (must be the next dense id).
   void grow_one(NodeId id);

@@ -49,8 +49,8 @@ static_assert(sizeof(CacheEntry) == 8,
 
 /// Freshest first; ties broken by id so merges are deterministic. Both
 /// NewscastCache and NewscastNetwork order by this predicate — their
-/// merges must stay in lockstep (golden-tested).
-inline bool fresher(const CacheEntry& a, const CacheEntry& b) {
+/// merges must stay in lockstep (membership_test checks every path).
+constexpr bool fresher(const CacheEntry& a, const CacheEntry& b) {
   if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
   return a.id < b.id;
 }

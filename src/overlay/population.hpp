@@ -40,6 +40,13 @@ public:
   /// Adds a brand-new live node and returns its id (== total() - 1).
   NodeId add();
 
+  /// Reserves room for `total` ids, so joins up to that many ids never
+  /// reallocate.
+  void reserve(std::size_t total) {
+    live_.reserve(total);
+    position_.reserve(total);
+  }
+
   /// Marks a live node as crashed. O(1).
   void kill(NodeId id);
 

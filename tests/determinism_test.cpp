@@ -155,7 +155,11 @@ TEST(GoldenValues, CountLaneDigestUnderChurnOnBothEngines) {
 
 /// Bit-level double equality: the determinism contract is "identical
 /// bits", which must also hold for runs that legitimately diverge to
-/// inf/NaN (an EXPECT_EQ on NaN would always fail).
+/// inf/NaN (an EXPECT_EQ on NaN would always fail). For NaN that holds
+/// within one binary only: which NaN an operation on two NaNs returns
+/// follows the compiler's operand order, so RunningStats::add and
+/// LaneStats give NaNs of different sign at -O2 and the same at -O3. No
+/// golden holds a NaN.
 void expect_same_bits(double a, double b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
       << a << " vs " << b;

@@ -74,6 +74,32 @@ TEST(Churn, NeverKillsLastNode) {
   EXPECT_EQ(ev.joins, 100u);
 }
 
+TEST(FailurePlan, TotalJoinsSumsEveryCyclesJoins) {
+  // Drivers reserve their per-node arrays from total_joins, so it must
+  // equal the joins before_cycle hands out over the run: Churn's rate
+  // per cycle, without 32-bit wraparound, and none for any other plan.
+  const Churn churn(250);
+  const Churn wide(0x80000000u);
+  const ProportionalCrash crash(0.1);
+  const SuddenDeath death(2, 0.5);
+  const ConstantCrash constant(10);
+  const CorrelatedWaves waves(1, 2, 5);
+  const EpochRestart restart(3);
+  const NoFailures none;
+  const FailurePlan* plans[] = {&churn, &wide,  &crash,   &death,
+                                &constant, &waves, &restart, &none};
+  for (const FailurePlan* plan : plans) {
+    for (std::uint32_t cycles : {0u, 1u, 7u}) {
+      std::uint64_t joins = 0;
+      for (std::uint32_t c = 0; c < cycles; ++c) {
+        joins += plan->before_cycle(c, 1000).joins;
+      }
+      EXPECT_EQ(plan->total_joins(cycles), joins) << "cycles " << cycles;
+    }
+  }
+  EXPECT_EQ(wide.total_joins(4), 0x200000000u);
+}
+
 TEST(ConstantCrash, FixedRateNoJoins) {
   ConstantCrash plan(1000);
   const auto ev = plan.before_cycle(2, 100000);

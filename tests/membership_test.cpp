@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -206,8 +210,9 @@ TEST(NewscastNetwork, BootstrapMatchesMergeReference) {
 
   // A network that grew through joins, then bootstraps again, must be
   // indistinguishable from a fresh one: same views, and the same views
-  // after further cycles. The joins leave merge marks at small epochs,
-  // which the first cycles would hit if the bootstrap kept them.
+  // after further cycles. Its merge buffers outlive the bootstrap, sized
+  // for more ids than the new network has, so no merge state may carry
+  // over from its previous life.
   constexpr std::uint32_t kNodes = 40;
   NewscastNetwork grown(6);
   Rng rng(17);
@@ -339,6 +344,196 @@ TEST(NewscastPeerSampler, SamplesFromOwnCache) {
   for (int t = 0; t < 200; ++t) {
     const NodeId pick = sampler.sample(NodeId(3), rng);
     EXPECT_TRUE(net.cache(NodeId(3)).contains(pick));
+  }
+}
+
+// -------------------------------- differential: NewscastCache::merge
+
+// Every NewscastNetwork merge path must leave exactly the views that
+// NewscastCache::merge computes from the pre-operation snapshots. The
+// mirror holds one reference cache per node and applies each operation
+// to both sides: exchange on the default and on caller-owned buffers,
+// exchange_partial under all four flag pairs, joins, and inserts.
+class MergeMirror {
+public:
+  MergeMirror(std::size_t c, std::uint32_t n, std::uint64_t now, Rng& rng)
+      : c_(c), net_(c) {
+    net_.bootstrap_random(n, now, rng);
+    for (std::uint32_t u = 0; u < n; ++u) {
+      ref_.emplace_back(c);
+      ref_.back().merge(net_.view(NodeId(u)), CacheEntry{}, NodeId::invalid());
+    }
+  }
+
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(ref_.size());
+  }
+
+  void exchange(NewscastNetwork::MergeBuffers* buffers, NodeId a, NodeId b,
+                std::uint64_t now) {
+    partial_reference(a, b, now, true, true);
+    if (buffers != nullptr) {
+      net_.exchange(*buffers, a, b, now);
+    } else {
+      net_.exchange(a, b, now);
+    }
+  }
+
+  void exchange_partial(NewscastNetwork::MergeBuffers& buffers, NodeId a,
+                        NodeId b, std::uint64_t now, bool a_sends,
+                        bool b_sends) {
+    partial_reference(a, b, now, a_sends, b_sends);
+    net_.exchange_partial(buffers, a, b, now, a_sends, b_sends);
+  }
+
+  void add_node(NodeId contact, std::uint64_t now) {
+    const NodeId id(size());
+    const std::vector<CacheEntry> snap = snapshot(contact);
+    ref_.emplace_back(c_);
+    ref_.back().merge(snap, CacheEntry{contact, now}, id);
+    ref_[contact.value()].insert(CacheEntry{id, now});
+    net_.add_node(id, contact, now);
+  }
+
+  void insert(NodeId u, CacheEntry e) {
+    ref_[u.value()].insert(e);
+    net_.cache(u).insert(e);
+  }
+
+  void expect_matches(NodeId u, const std::string& op) const {
+    const auto got = net_.view(u);
+    const auto want = ref_[u.value()].entries();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << op << ": node " << u.value() << " holds " << got.size()
+        << " entries, reference " << want.size();
+  }
+
+  void expect_all_match(const std::string& op) const {
+    ASSERT_EQ(net_.size(), ref_.size()) << op;
+    for (std::uint32_t u = 0; u < size(); ++u) {
+      ASSERT_NO_FATAL_FAILURE(expect_matches(NodeId(u), op));
+    }
+  }
+
+private:
+  [[nodiscard]] std::vector<CacheEntry> snapshot(NodeId u) const {
+    const auto es = ref_[u.value()].entries();
+    return {es.begin(), es.end()};
+  }
+
+  void partial_reference(NodeId a, NodeId b, std::uint64_t now, bool a_sends,
+                         bool b_sends) {
+    const std::vector<CacheEntry> snap_a = snapshot(a);
+    const std::vector<CacheEntry> snap_b = snapshot(b);
+    ref_[b.value()].merge(
+        a_sends ? std::span<const CacheEntry>(snap_a)
+                : std::span<const CacheEntry>{},
+        CacheEntry{a, now}, b);
+    ref_[a.value()].merge(
+        b_sends ? std::span<const CacheEntry>(snap_b)
+                : std::span<const CacheEntry>{},
+        CacheEntry{b, now}, a);
+  }
+
+  std::size_t c_;
+  NewscastNetwork net_;
+  std::vector<NewscastCache> ref_;
+};
+
+TEST(NewscastNetwork, EveryMergePathMatchesCacheMerge) {
+  struct Shape {
+    std::size_t c;
+    std::uint32_t n;
+  };
+  // Views shorter than c (n <= c) and full views, at every c the
+  // simulators use and at the ends of the range.
+  const Shape shapes[] = {{1, 3},   {1, 40},  {2, 3},    {2, 40},
+                          {30, 12}, {30, 200}, {64, 40}, {64, 300}};
+  constexpr int kOps = 2500;
+  constexpr std::uint32_t kMaxJoins = 60;
+  for (const Shape& s : shapes) {
+    for (const std::uint64_t seed : {101u, 202u}) {
+      // The second seed runs at the top of the 32-bit logical clock.
+      std::uint64_t now =
+          seed == 101u ? 0 : CacheEntry::kMaxTimestamp - kOps - 8;
+      Rng rng(seed * 31 + s.c);
+      MergeMirror mirror(s.c, s.n, now, rng);
+      // Caller-owned buffers sized by their first merge, before any join
+      // grows the network past them.
+      NewscastNetwork::MergeBuffers buffers;
+      std::uint32_t joins = 0;
+      const auto pick = [&] {
+        return NodeId(static_cast<std::uint32_t>(rng.below(mirror.size())));
+      };
+      const auto pick_pair = [&] {
+        const NodeId a = pick();
+        NodeId b = pick();
+        while (b == a) b = pick();
+        return std::pair{a, b};
+      };
+      // An id at most 3 cycles stale, sometimes exactly `now`, and
+      // sometimes one the network has not registered yet.
+      const auto planted = [&](NodeId id) {
+        return CacheEntry{id, now - rng.below(std::min<std::uint64_t>(
+                                        now + 1, 4))};
+      };
+      for (int op = 0; op < kOps; ++op) {
+        if (rng.chance(0.5)) ++now;  // equal timestamps on both sides
+        const std::string where = "c=" + std::to_string(s.c) +
+                                  " n=" + std::to_string(s.n) +
+                                  " seed=" + std::to_string(seed) +
+                                  " op " + std::to_string(op);
+        const auto roll = rng.below(100);
+        if (roll < 20) {
+          const auto [a, b] = pick_pair();
+          mirror.exchange(nullptr, a, b, now);
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(a, where));
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(b, where));
+        } else if (roll < 40) {
+          const auto [a, b] = pick_pair();
+          mirror.exchange(&buffers, a, b, now);
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(a, where));
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(b, where));
+        } else if (roll < 60) {
+          const auto [a, b] = pick_pair();
+          const bool a_sends = rng.chance(0.5);
+          const bool b_sends = rng.chance(0.5);
+          mirror.exchange_partial(buffers, a, b, now, a_sends, b_sends);
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(a, where));
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(b, where));
+        } else if (roll < 70) {
+          // Each endpoint's id in the other's slot, and one shared id at
+          // different timestamps, before a full exchange.
+          const auto [a, b] = pick_pair();
+          mirror.insert(a, planted(b));
+          mirror.insert(b, planted(a));
+          const NodeId shared = pick();
+          if (shared != a && shared != b) {
+            mirror.insert(a, CacheEntry{shared, now});
+            mirror.insert(b, CacheEntry{shared, now > 0 ? now - 1 : now});
+          }
+          mirror.exchange(rng.chance(0.5) ? &buffers : nullptr, a, b, now);
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(a, where));
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(b, where));
+        } else if (roll < 92) {
+          const NodeId u = pick();
+          const auto id =
+              static_cast<std::uint32_t>(rng.below(mirror.size() + 8));
+          mirror.insert(u, planted(NodeId(id)));
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(u, where));
+        } else if (joins < kMaxJoins) {
+          ++joins;
+          const NodeId contact = pick();
+          mirror.add_node(contact, now);
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_matches(contact, where));
+          ASSERT_NO_FATAL_FAILURE(
+              mirror.expect_matches(NodeId(mirror.size() - 1), where));
+        }
+        if (op % 100 == 99) {
+          ASSERT_NO_FATAL_FAILURE(mirror.expect_all_match(where));
+        }
+      }
+    }
   }
 }
 

@@ -411,6 +411,33 @@ TEST(AdversarialGolden, ValueInjectMedianOfMeansHealingPartition) {
   }
 }
 
+TEST(AdversarialGolden, CachePolluteSerialVarianceDigest) {
+  // The serial driver's cache_pollute path: run_cycle sends each pair
+  // with a polluter through exchange_partial, and churn adds joins.
+  // One FNV-1a digest over the bits of every per-cycle variance (the
+  // benchmark's digest), so any change to a NEWSCAST merge path shows.
+  ScenarioSpec spec = ScenarioSpec::average_peak("golden-pollute", 300, 15)
+                          .with_init(InitKind::kUniform)
+                          .with_topology(TopologyConfig::newscast(20))
+                          .with_failure(FailureSpec::churn(3))
+                          .with_adversary(AdversarySpec::cache_pollute(0.15))
+                          .with_engine(EngineKind::kSerial);
+  Engine serial({EngineKind::kSerial, 1, 1});
+  const RunResult run = serial.run_single(spec, 1618);
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const double v : run.tracker.variances()) {
+    auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      h ^= bits & 0xffu;
+      h *= kFnvPrime;
+      bits >>= 8;
+    }
+  }
+  ASSERT_EQ(run.tracker.variances().size(), 16u);
+  EXPECT_EQ(h, 0x8a6bcb72423b5b24ull);
+  EXPECT_EQ(run.participants, 259u);
+}
+
 // ------------------------------------------- robust combine unit tests
 
 TEST(RobustCombine, TrimmedMeanOverOwnPlusWindow) {
