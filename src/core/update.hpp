@@ -77,13 +77,13 @@ template <UpdateFunction F>
 inline void update_lanes(double* __restrict p, double* __restrict q,
                          std::size_t lanes, bool completed) {
   if (completed) {
-    for (std::size_t i = 0; i < lanes; ++i) {  // lane-kernel: update-both
+    for (std::size_t i = 0; i < lanes; ++i) {  // hot-kernel: update-both
       const double u = F::apply(p[i], q[i]);
       p[i] = u;
       q[i] = u;
     }
   } else {
-    for (std::size_t i = 0; i < lanes; ++i) {  // lane-kernel: update-passive
+    for (std::size_t i = 0; i < lanes; ++i) {  // hot-kernel: update-passive
       q[i] = F::apply(p[i], q[i]);
     }
   }

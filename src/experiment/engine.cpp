@@ -149,7 +149,13 @@ RunResult exec_intra(const ScenarioSpec& spec, std::uint64_t seed,
       plan_override != nullptr ? *plan_override : *spec_plan;
   SimConfig cfg = sim_config_of(spec, plan);
   cfg.stream_seed = seed;  // same key as exec_cycle — cross-engine parity
-  IntraRepSimulation sim(cfg, seed, shards);
+  // The pool idles until run(), so the bootstrap borrows it first.
+  const overlay::ParallelFor bootstrap =
+      [&pool](std::size_t count,
+              const std::function<void(std::size_t)>& job) {
+        pool.run(count, job);
+      };
+  IntraRepSimulation sim(cfg, seed, shards, &bootstrap);
   init_workload(sim, spec, seed);
   const auto start = std::chrono::steady_clock::now();
   sim.run(plan, pool);

@@ -55,8 +55,9 @@ void sort_by_key(std::vector<std::uint64_t>& words,
 }
 
 IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
-                                       std::uint64_t seed, unsigned shards)
-    : SimulationCore(checked(config), Rng(seed)),
+                                       std::uint64_t seed, unsigned shards,
+                                       const overlay::ParallelFor* bootstrap)
+    : SimulationCore(checked(config), Rng(seed), bootstrap),
       seed_(seed),
       // Degenerate-geometry guard: more shards than nodes would only
       // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be

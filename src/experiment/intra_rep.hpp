@@ -112,8 +112,12 @@ public:
   /// `shards` is the domain-decomposition width (GOSSIP_SHARDS); the
   /// runner passed to run() supplies the worker threads. Degenerate
   /// geometries (shards > nodes) are legal — empty shards idle.
+  /// `bootstrap`, when set, runs the NEWSCAST bootstrap's per-node pass
+  /// (the Engine lends it the run's pool); the views are the same
+  /// without it.
   IntraRepSimulation(const SimConfig& config, std::uint64_t seed,
-                     unsigned shards);
+                     unsigned shards,
+                     const overlay::ParallelFor* bootstrap = nullptr);
 
   /// Runs config.cycles matched cycles under `plan`, parallelizing each
   /// phase across `pool`. Call once.

@@ -91,13 +91,13 @@ overlay::Graph build_graph(const TopologyConfig& topology,
 }
 
 Overlay build_overlay(const TopologyConfig& topology, std::uint32_t nodes,
-                      Rng& rng) {
+                      Rng& rng, const overlay::ParallelFor* par) {
   Overlay out;
   out.graph = build_graph(topology, nodes, rng);
   if (topology.kind == TopologyKind::kNewscast) {
     out.newscast =
         std::make_unique<membership::NewscastNetwork>(topology.cache_size);
-    out.newscast->bootstrap_random(nodes, 0, rng);
+    out.newscast->bootstrap_random(nodes, 0, rng, par);
   }
   return out;
 }
@@ -111,11 +111,12 @@ SamplerVariant make_sampler(const Overlay& built,
   return overlay::CompletePeerSampler(population);
 }
 
-SimulationCore::SimulationCore(const SimConfig& config, Rng rng)
+SimulationCore::SimulationCore(const SimConfig& config, Rng rng,
+                               const overlay::ParallelFor* par)
     : config_(config),
       rng_(rng),
       population_(config.nodes),
-      overlay_(build_overlay(config.topology, config.nodes, rng_)),
+      overlay_(build_overlay(config.topology, config.nodes, rng_, par)),
       sampler_(make_sampler(overlay_, population_)) {
   GOSSIP_REQUIRE(config.nodes >= 2, "simulation needs at least two nodes");
   GOSSIP_REQUIRE(config.instances >= 1, "need at least one instance");
@@ -186,7 +187,8 @@ void SimulationCore::init_count_leaders() {
   for (std::uint64_t raw : rng_.sample_distinct(config_.nodes, t)) {
     leaders_.emplace_back(static_cast<std::uint32_t>(raw));
   }
-  std::fill(estimates_.begin(), estimates_.end(), 0.0);
+  // The constructor zeroed the lanes; only an earlier init wrote them.
+  if (initialized_) std::fill(estimates_.begin(), estimates_.end(), 0.0);
   for (std::uint32_t i = 0; i < t; ++i) {
     estimates_[static_cast<std::size_t>(leaders_[i].value()) * t + i] = 1.0;
   }

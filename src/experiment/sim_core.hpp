@@ -96,9 +96,10 @@ overlay::Graph build_graph(const TopologyConfig& topology,
                            std::uint32_t nodes, Rng& rng);
 
 /// The simulators' overlay: build_graph, then for NEWSCAST the bootstrap
-/// of every cache from `rng`.
+/// of every cache from `rng`, its per-node pass run through `par`
+/// (serially when null; the views are the same).
 Overlay build_overlay(const TopologyConfig& topology, std::uint32_t nodes,
-                      Rng& rng);
+                      Rng& rng, const overlay::ParallelFor* par = nullptr);
 
 /// The concrete GETNEIGHBOR() strategies a simulation can run over. The
 /// drivers visit the variant once per cycle or round (not per node), so
@@ -419,8 +420,10 @@ public:
 protected:
   /// Builds the overlay (static graph or NEWSCAST bootstrap) from `rng`
   /// and its sampler, validates `config`, sizes the per-node state and
-  /// hashes the adversary membership.
-  SimulationCore(const SimConfig& config, Rng rng);
+  /// hashes the adversary membership. `par`, when set, runs the
+  /// bootstrap's per-node pass (see build_overlay).
+  SimulationCore(const SimConfig& config, Rng rng,
+                 const overlay::ParallelFor* par = nullptr);
 
   /// The run loop, once per simulation: σ²_0, then per cycle the plan's
   /// kills and joins (crashes land *before* the cycle, the paper's worst

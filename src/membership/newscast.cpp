@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/require.hpp"
+#include "membership/bootstrap.hpp"
 
 namespace gossip::membership {
 
@@ -223,27 +224,34 @@ void NewscastNetwork::grow_one(NodeId id) {
 }
 
 void NewscastNetwork::bootstrap_random(std::uint32_t n, std::uint64_t now,
-                                       Rng& rng) {
+                                       Rng& rng,
+                                       const overlay::ParallelFor* par) {
   GOSSIP_REQUIRE(n >= 2, "newscast bootstrap needs at least two nodes");
   const std::size_t fill = std::min<std::size_t>(cache_size_, n - 1);
   pool_.assign(static_cast<std::size_t>(n) * cache_size_, CacheEntry{});
   sizes_.assign(n, static_cast<std::uint32_t>(fill));
-  // Each view is written once, and equals what inserting the draws one
-  // merge at a time would leave: every descriptor carries `now`, so
-  // `fresher` orders them by ascending id; they are distinct and at most
-  // c, so none is dropped; and the shift past u is monotone, so sorting
-  // the raw draws sorts the ids. Pinned by
+  const auto slot = [&](std::uint32_t u) {
+    return std::span<CacheEntry>(
+        pool_.data() + static_cast<std::size_t>(u) * cache_size_, fill);
+  };
+  // Pass 1: every RNG draw, in id order. Pinned by
   // NewscastNetwork.BootstrapMatchesMergeReference.
-  for (std::uint32_t u = 0; u < n; ++u) {
-    std::vector<std::uint64_t> draws = rng.sample_distinct(n - 1, fill);
-    std::sort(draws.begin(), draws.end());
-    CacheEntry* slot =
-        pool_.data() + static_cast<std::size_t>(u) * cache_size_;
-    for (std::size_t i = 0; i < fill; ++i) {
-      const auto v =
-          static_cast<std::uint32_t>(draws[i] >= u ? draws[i] + 1 : draws[i]);
-      slot[i] = CacheEntry{NodeId(v), now};
+  for (std::uint32_t u = 0; u < n; ++u) draw_bootstrap(rng, n, slot(u));
+  // Pass 2: each node settles its own slot, so fixed id chunks give the
+  // same views on any schedule.
+  constexpr std::uint32_t kChunk = 1024;  // nodes per job
+  const std::size_t chunks = (std::size_t{n} + kChunk - 1) / kChunk;
+  const auto settle = [&](std::size_t c) {
+    const auto lo = static_cast<std::uint32_t>(c * kChunk);
+    const std::uint32_t hi = std::min<std::uint32_t>(n, lo + kChunk);
+    for (std::uint32_t u = lo; u < hi; ++u) {
+      settle_bootstrap(u, n, now, slot(u));
     }
+  };
+  if (par != nullptr) {
+    (*par)(chunks, settle);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) settle(c);
   }
 }
 

@@ -90,12 +90,18 @@ public:
   [[nodiscard]] std::size_t size() const { return sizes_.size(); }
 
   /// Registers node ids [0, n) and gives each node random other nodes at
-  /// timestamp `now` — the out-of-band bootstrap of §4.2. Per node u, in
-  /// id order, it draws `rng.sample_distinct(n - 1, min(c, n - 1))`,
-  /// shifts each value v >= u to v + 1, and stores those ids ascending
-  /// (the freshest-first order of equal timestamps). Every NEWSCAST
-  /// golden depends on this draw order.
-  void bootstrap_random(std::uint32_t n, std::uint64_t now, Rng& rng);
+  /// timestamp `now` — the out-of-band bootstrap of §4.2. Node u's view
+  /// is `rng.sample_distinct(n - 1, min(c, n - 1))` with each value
+  /// v >= u shifted to v + 1, stored ascending (the freshest-first order
+  /// of equal timestamps). It runs as the two passes of
+  /// membership/bootstrap.hpp: one serial pass makes every node's draws,
+  /// in id order, with exactly sample_distinct's calls (every NEWSCAST
+  /// golden depends on this order), and leaves `rng` where per-node
+  /// sample_distinct calls would; then each node settles its own slot,
+  /// in fixed id chunks run through `par` (serially when null). The
+  /// views are the same on any schedule.
+  void bootstrap_random(std::uint32_t n, std::uint64_t now, Rng& rng,
+                        const overlay::ParallelFor* par = nullptr);
 
   /// Adds one node. Its initial view is a copy of the `contact`'s cache
   /// plus a fresh descriptor of the contact (the §4.2 join rule).

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "membership/bootstrap.hpp"
+
 namespace gossip::proto {
 
 World::World(WorldConfig config)
@@ -28,16 +30,12 @@ World::World(WorldConfig config)
     const NodeId id(u);
     add_node(Node(id, config_.initial_value(id), config_.protocol));
   }
-  // Random bootstrap views, as in the cycle driver.
-  const std::size_t fill =
-      std::min<std::size_t>(config_.protocol.cache_size, config_.nodes - 1);
+  // Random bootstrap views: the cycle engines' §4.2 draw, node by node.
+  std::vector<membership::CacheEntry> view(
+      std::min<std::size_t>(config_.protocol.cache_size, config_.nodes - 1));
   for (std::uint32_t u = 0; u < config_.nodes; ++u) {
-    std::vector<membership::CacheEntry> view;
-    view.reserve(fill);
-    for (std::uint64_t raw : rng_.sample_distinct(config_.nodes - 1, fill)) {
-      const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-      view.push_back(membership::CacheEntry{NodeId(v), 0});
-    }
+    membership::draw_bootstrap(rng_, config_.nodes, view);
+    membership::settle_bootstrap(u, config_.nodes, 0, view);
     nodes_[u].bootstrap_view(view);
   }
 }

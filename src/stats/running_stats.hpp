@@ -102,7 +102,7 @@ private:
   static void fold(std::size_t lanes, double n, const double* __restrict row,
                    double* __restrict mean, double* __restrict m2,
                    double* __restrict min, double* __restrict max) {
-    for (std::size_t i = 0; i < lanes; ++i) {  // lane-kernel: lane-stats
+    for (std::size_t i = 0; i < lanes; ++i) {  // hot-kernel: lane-stats
       const double x = row[i];
       const double d = x - mean[i];
       mean[i] += d / n;

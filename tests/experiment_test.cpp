@@ -113,6 +113,34 @@ TYPED_TEST(Lifecycle, EstimateGuards) {
   EXPECT_DOUBLE_EQ(e.sim.estimate(NodeId(0), 0), 10.0);
 }
 
+// The constructor zeroes every lane once; a COUNT init after an earlier
+// init must still leave every lane but the leaders' exactly 0.
+TYPED_TEST(Lifecycle, CountInitAfterAnotherInitZeroesNonLeaderLanes) {
+  TypeParam scalar_first(base_config(100, 5, TopologyConfig::complete()));
+  scalar_first.sim.init_scalar([](NodeId id) { return 1.0 + id.value(); });
+  scalar_first.sim.init_count_leaders();
+  const NodeId leader = scalar_first.sim.leaders().front();
+  for (std::uint32_t u = 0; u < 100; ++u) {
+    EXPECT_EQ(scalar_first.sim.estimate(NodeId(u), 0),
+              u == leader.value() ? 1.0 : 0.0)
+        << "node " << u;
+  }
+
+  SimConfig cfg = base_config(100, 5, TopologyConfig::complete());
+  cfg.instances = 4;
+  TypeParam count_twice(cfg);
+  count_twice.sim.init_count_leaders();
+  count_twice.sim.init_count_leaders();
+  const auto& leaders = count_twice.sim.leaders();
+  for (std::uint32_t u = 0; u < 100; ++u) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(count_twice.sim.estimate(NodeId(u), i),
+                leaders[i] == NodeId(u) ? 1.0 : 0.0)
+          << "node " << u << " lane " << i;
+    }
+  }
+}
+
 TYPED_TEST(Lifecycle, StaticTopologyRejectsJoins) {
   TypeParam e(base_config(100, 5, TopologyConfig::random_k_out(10)));
   e.sim.init_peak(100.0);

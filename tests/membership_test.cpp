@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -11,6 +12,7 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "membership/newscast.hpp"
 #include "membership/newscast_cache.hpp"
 #include "overlay/population.hpp"
@@ -169,41 +171,60 @@ TEST(NewscastNetwork, BootstrapSmallNetworkCapsFill) {
 // Pins the bootstrap's contents, not just its shape: every slot equals a
 // NewscastCache built by inserting, in draw order, the ids a twin Rng
 // draws for that node, and the bootstrap consumes exactly those draws.
-// Every NEWSCAST golden rests on this.
+// Every NEWSCAST golden rests on this. The shapes put the fill on both
+// sides of Rng::kSampleScanLimit, at n - 1 below c on both sides, and
+// across several of the per-node pass's 1024-node jobs; each runs
+// serially, with the jobs in reverse order and on a 4-thread pool.
 TEST(NewscastNetwork, BootstrapMatchesMergeReference) {
   struct Shape {
     std::uint32_t n;
     std::size_t c;
   };
-  const Shape shapes[] = {{2, 1},   {2, 30},  {5, 30},   {31, 30},
-                          {32, 30}, {300, 8}, {1000, 1}, {1000, 64}};
-  const auto expect_matches_reference = [](const NewscastNetwork& net,
-                                           std::uint32_t n, std::size_t c,
-                                           std::uint64_t now, Rng& twin) {
-    const std::size_t fill = std::min<std::size_t>(c, n - 1);
-    for (std::uint32_t u = 0; u < n; ++u) {
-      NewscastCache reference(c);
-      for (std::uint64_t raw : twin.sample_distinct(n - 1, fill)) {
-        const auto v = static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-        reference.insert(CacheEntry{NodeId(v), now});
-      }
-      const auto got = net.view(NodeId(u));
-      const auto want = reference.entries();
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
-                             want.end()))
-          << "n=" << n << " c=" << c << " now=" << now << " node " << u;
-    }
-  };
+  const Shape shapes[] = {{2, 1},     {2, 30},   {5, 30},    {31, 30},
+                          {32, 30},   {300, 8},  {1000, 1},  {1000, 64},
+                          {300, 100}, {80, 100}, {2500, 30}};
+  experiment::ParallelRunner pool(4);
+  const overlay::ParallelFor on_pool =
+      [&pool](std::size_t count,
+              const std::function<void(std::size_t)>& job) {
+        pool.run(count, job);
+      };
+  const overlay::ParallelFor reversed =
+      [](std::size_t count, const std::function<void(std::size_t)>& job) {
+        for (std::size_t c = count; c-- > 0;) job(c);
+      };
+  const std::pair<const char*, const overlay::ParallelFor*> schedules[] = {
+      {"serial", nullptr}, {"reversed", &reversed}, {"pool", &on_pool}};
   for (const Shape& s : shapes) {
+    const std::size_t fill = std::min<std::size_t>(s.c, s.n - 1);
     for (std::uint64_t seed : {11u, 12u}) {
       for (std::uint64_t now : {0u, 7u}) {
-        NewscastNetwork net(s.c);
-        Rng rng(seed);
         Rng twin(seed);
-        net.bootstrap_random(s.n, now, rng);
-        ASSERT_EQ(net.size(), s.n);
-        expect_matches_reference(net, s.n, s.c, now, twin);
-        EXPECT_EQ(rng(), twin()) << "n=" << s.n << " c=" << s.c;
+        std::vector<NewscastCache> reference(s.n, NewscastCache(s.c));
+        for (std::uint32_t u = 0; u < s.n; ++u) {
+          for (std::uint64_t raw : twin.sample_distinct(s.n - 1, fill)) {
+            const auto v =
+                static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
+            reference[u].insert(CacheEntry{NodeId(v), now});
+          }
+        }
+        const std::uint64_t next = twin();
+        for (const auto& [schedule, par] : schedules) {
+          NewscastNetwork net(s.c);
+          Rng rng(seed);
+          net.bootstrap_random(s.n, now, rng, par);
+          ASSERT_EQ(net.size(), s.n);
+          for (std::uint32_t u = 0; u < s.n; ++u) {
+            const auto got = net.view(NodeId(u));
+            const auto want = reference[u].entries();
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                   want.end()))
+                << "n=" << s.n << " c=" << s.c << " now=" << now << " "
+                << schedule << " node " << u;
+          }
+          EXPECT_EQ(rng(), next)
+              << "n=" << s.n << " c=" << s.c << " " << schedule;
+        }
       }
     }
   }

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Checks that GCC vectorizes the lane kernels.
+"""Checks that GCC vectorizes the hot kernels.
 
     check_vectorized.py COMPILER_ID CXX SOURCE_DIR OBJECT
 
 Compiles tests/vectorize/lane_kernels.cpp alone with CXX at -O3 and
 -fopt-info-vec-optimized, writing OBJECT, and exits 0 only if GCC
-reports "loop vectorized" at the loop of every kernel in KERNELS. Each
-loop is found by the `lane-kernel: <name>` comment on its line. A branch
-or a per-lane counter that creeps into one of these loops stops it
-vectorizing without moving any result, so no golden would notice.
+reports "loop vectorized" at the loop of every kernel in KERNELS: COUNT's
+lane update and lane statistics, and the NEWSCAST bootstrap's per-node
+collision scan and rank loop. Each loop is found by the
+`hot-kernel: <name>` comment on its line. An early exit or an or-ed flag
+that creeps into one of these loops stops it vectorizing without moving
+any result, so no golden would notice; GCC if-converts a plain
+`if (x) ++n;`, which keeps vectorizing.
 The report is GCC's, so for any COMPILER_ID (CMake's) but GNU the check
 exits 77, which ctest counts as skipped.
 """
@@ -22,6 +25,8 @@ KERNELS = [
     ("src/core/update.hpp", "update-both"),
     ("src/core/update.hpp", "update-passive"),
     ("src/stats/running_stats.hpp", "lane-stats"),
+    ("src/membership/bootstrap.hpp", "bootstrap-scan"),
+    ("src/membership/bootstrap.hpp", "bootstrap-rank"),
 ]
 
 
@@ -44,7 +49,7 @@ def main() -> int:
         return 1
     failed = 0
     for rel, name in KERNELS:
-        marker = f"lane-kernel: {name}"
+        marker = f"hot-kernel: {name}"
         text = (source_dir / rel).read_text(encoding="utf-8")
         lines = [n for n, line in enumerate(text.splitlines(), 1)
                  if marker in line]
