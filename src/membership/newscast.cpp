@@ -2,82 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <deque>
-#include <type_traits>
 
 #include "common/require.hpp"
 #include "membership/bootstrap.hpp"
 
 namespace gossip::membership {
-
-namespace {
-
-// The merge kernel compares entries as packed keys: the high word is the
-// flipped timestamp and the low word the id, so ascending key order is
-// `fresher` order and equal keys are equal entries.
-constexpr std::uint64_t kFlipTimestamp = 0xffffffffULL << 32;
-
-constexpr std::uint64_t key_of(CacheEntry e) {
-  return std::bit_cast<std::uint64_t>(e) ^ kFlipTimestamp;
-}
-
-constexpr CacheEntry entry_of(std::uint64_t key) {
-  return std::bit_cast<CacheEntry>(key ^ kFlipTimestamp);
-}
-
-// Pads every run: above each cache entry's key, since the one entry
-// packing to it, {invalid id, timestamp 0}, is never cached.
-constexpr std::uint64_t kEnd = ~std::uint64_t{0};
-
-// A platform where the packing would misorder entries fails to build
-// instead of silently moving every NEWSCAST result.
-static_assert(std::is_trivially_copyable_v<CacheEntry>);
-static_assert(std::endian::native == std::endian::little,
-              "key_of needs the id in the low word");
-
-/// Key order is `fresher` order, equal keys are equal entries, and every
-/// key round-trips and sits below kEnd, for each pair drawn from the
-/// extreme timestamps and ids (equal timestamps included).
-constexpr bool keys_order_like_fresher() {
-  constexpr std::uint32_t ids[] = {0, 1, 0xfffffffe};
-  constexpr std::uint64_t times[] = {0, 1, CacheEntry::kMaxTimestamp};
-  for (const std::uint32_t ia : ids) {
-    for (const std::uint64_t ta : times) {
-      const CacheEntry a{NodeId(ia), ta};
-      if (entry_of(key_of(a)) != a || key_of(a) == kEnd) return false;
-      for (const std::uint32_t ib : ids) {
-        for (const std::uint64_t tb : times) {
-          const CacheEntry b{NodeId(ib), tb};
-          if ((key_of(a) < key_of(b)) != fresher(a, b)) return false;
-          if ((key_of(a) == key_of(b)) != (a == b)) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-static_assert(keys_order_like_fresher(),
-              "packed keys must order cache entries like fresher()");
-
-/// Returns `v` unchanged but hides where it came from, so the compiler
-/// cannot thread the comparisons that follow back into the min that made
-/// it. Without it GCC turns the merge step's min into data-dependent
-/// jumps, which mispredict about every other step.
-inline std::uint64_t opaque(std::uint64_t v) {
-  __asm__("" : "+r"(v));
-  return v;
-}
-
-/// Copies a freshest-first run into `out` as keys, then the end key.
-/// Returns one past the end key.
-std::uint64_t* load_run(std::span<const CacheEntry> run, std::uint64_t* out) {
-  for (const CacheEntry& e : run) *out++ = key_of(e);
-  *out++ = kEnd;
-  return out;
-}
-
-}  // namespace
 
 bool NewscastNetwork::ConstCacheView::contains(NodeId id) const {
   const auto es = entries();
@@ -125,87 +55,19 @@ std::size_t NewscastNetwork::merge_union(
     MergeBuffers& buffers, std::span<const CacheEntry> first,
     std::span<const CacheEntry> second,
     std::span<const CacheEntry> fresh) const {
-  // The hottest code of every NEWSCAST simulation: one call per exchange,
-  // one exchange per node per cycle. Each step takes the smallest head
-  // key (the freshest entry left) and advances every run whose head
-  // equals it, so an entry found in two runs is emitted once. The dedup
-  // is one byte per id: the entry is always written, and the length
-  // grows only for an id not yet in the list (an older copy is written
-  // past the end and then overwritten). The loop exits and the scan for
-  // ids beyond the registered space (hand-built test views) are its
-  // only branches.
-  const std::size_t want = cache_size_ + 1;
-  // One key past the last run's end key: the loop reads one key ahead.
-  const std::size_t key_count =
-      first.size() + second.size() + fresh.size() + 4;
-  if (buffers.keys.size() < key_count) buffers.keys.resize(key_count);
-  if (buffers.merged.size() < want) buffers.merged.resize(want);
   if (buffers.seen.size() < sizes_.size()) {
     buffers.seen.resize(sizes_.size(), 0);
   }
-  std::uint64_t* const run0 = buffers.keys.data();
-  std::uint64_t* const run1 = load_run(first, run0);
-  std::uint64_t* const run2 = load_run(second, run1);
-  load_run(fresh, run2);
-  const std::uint64_t* p0 = run0;
-  const std::uint64_t* p1 = run1;
-  const std::uint64_t* p2 = run2;
-
-  std::uint8_t* const seen = buffers.seen.data();
-  const std::size_t limit = buffers.seen.size();
-  std::uint64_t* const out = buffers.merged.data();
-  std::size_t len = 0;
-  // Each run's head and the key after it live in registers: a step moves
-  // the next key up by a conditional move and loads the one after, so
-  // the next step's min never waits on a load. A run at its end key
-  // never advances, so the key read past it is never used.
-  std::uint64_t x = p0[0], x_next = p0[1];
-  std::uint64_t y = p1[0], y_next = p1[1];
-  std::uint64_t z = p2[0], z_next = p2[1];
-  while (len < want) {
-    const std::uint64_t m = opaque(std::min(std::min(x, y), z));
-    if (m == kEnd) break;  // every run exhausted
-    const bool ax = x == m;
-    const bool ay = y == m;
-    const bool az = z == m;
-    p0 += ax ? 1 : 0;
-    p1 += ay ? 1 : 0;
-    p2 += az ? 1 : 0;
-    x = ax ? x_next : x;
-    y = ay ? y_next : y;
-    z = az ? z_next : z;
-    x_next = p0[1];
-    y_next = p1[1];
-    z_next = p2[1];
-    const auto id = static_cast<std::uint32_t>(m);
-    if (id < limit) [[likely]] {
-      out[len] = m;
-      len += seen[id] ^ 1u;
-      seen[id] = 1;
-    } else if (std::none_of(out, out + len, [id](std::uint64_t kept) {
-                 return static_cast<std::uint32_t>(kept) == id;
-               })) {
-      out[len++] = m;
-    }
-  }
-  for (std::size_t i = 0; i < len; ++i) {
-    const auto id = static_cast<std::uint32_t>(out[i]);
-    if (id < limit) seen[id] = 0;
-  }
-  return len;
+  return membership::merge_union(buffers, first, second, fresh,
+                                 cache_size_ + 1);
 }
 
 void NewscastNetwork::keep_union(const MergeBuffers& buffers, std::size_t len,
                                  std::uint32_t node, NodeId self) {
-  CacheEntry* const slot =
-      pool_.data() + static_cast<std::size_t>(node) * cache_size_;
-  std::uint32_t kept = 0;
-  for (std::size_t i = 0; i < len && kept < cache_size_; ++i) {
-    const std::uint64_t key = buffers.merged[i];
-    slot[kept] = entry_of(key);
-    kept += static_cast<std::uint32_t>(key) != self.value() ? 1 : 0;
-  }
-  sizes_[node] = kept;
+  sizes_[node] = membership::keep_union(
+      buffers, len, self,
+      pool_.data() + static_cast<std::size_t>(node) * cache_size_,
+      cache_size_);
 }
 
 void NewscastNetwork::merge_into(MergeBuffers& buffers, std::uint32_t node,

@@ -8,8 +8,9 @@
 // pool_[u*c .. u*c + size_[u]), sorted freshest-first. One simulated
 // network at N=100k used to be 100k separately allocated entry vectors;
 // now it is one allocation, which kills the per-cache malloc traffic and
-// makes the cycle walk cache-friendly. Every merge leaves the view that
-// NewscastCache::merge would; membership_test checks each merge path.
+// makes the cycle walk cache-friendly. Every merge runs the one kernel
+// of membership/merge_union.hpp, which NewscastCache shares;
+// membership_test checks each merge path against a naive reference.
 //
 // All merge scratch state lives in an explicit MergeBuffers value, so
 // several threads can exchange caches of *disjoint* node pairs
@@ -24,6 +25,7 @@
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
+#include "membership/merge_union.hpp"
 #include "membership/newscast_cache.hpp"
 #include "overlay/peer_sampler.hpp"
 #include "overlay/population.hpp"
@@ -33,15 +35,12 @@ namespace gossip::membership {
 /// Per-node NEWSCAST caches for an entire simulated network.
 class NewscastNetwork {
 public:
-  /// Scratch state of the merge kernel: one per thread when exchanges run
-  /// concurrently on disjoint pairs, reused so merges never allocate.
-  /// Merges size it lazily to the registered id space, so a default-
-  /// constructed value serves any network, grown through joins or not.
-  struct MergeBuffers {
-    std::vector<std::uint64_t> keys;    // packed inputs, sentinel-padded
-    std::vector<std::uint64_t> merged;  // freshest-first distinct union
-    std::vector<std::uint8_t> seen;     // id -> 1 while in merged; else 0
-  };
+  /// Scratch state of the merge kernel (membership/merge_union.hpp): one
+  /// per thread when exchanges run concurrently on disjoint pairs. Merges
+  /// size its dedup bytes lazily to the registered id space, so a
+  /// default-constructed value serves any network, grown through joins
+  /// or not.
+  using MergeBuffers = membership::MergeBuffers;
 
   /// Read-only handle to one node's slice of the entry pool. Cheap to
   /// copy; invalidated by add_node (pool growth).
@@ -187,9 +186,8 @@ private:
     }
   }
 
-  /// The merge kernel: the freshest-first, distinct-by-id union of three
-  /// freshest-first runs (which may alias the slots written next), cut at
-  /// cache_size_ + 1 ids, into buffers.merged. Returns its length.
+  /// merge_union over the registered id space: sizes the dedup bytes to
+  /// size() ids, cuts at cache_size_ + 1 ids.
   std::size_t merge_union(MergeBuffers& buffers,
                           std::span<const CacheEntry> first,
                           std::span<const CacheEntry> second,

@@ -48,8 +48,8 @@ static_assert(sizeof(CacheEntry) == 8,
               "walk is the cycle driver's dominant memory stream");
 
 /// Freshest first; ties broken by id so merges are deterministic. Both
-/// NewscastCache and NewscastNetwork order by this predicate — their
-/// merges must stay in lockstep (membership_test checks every path).
+/// NewscastCache and NewscastNetwork order by this predicate, and both
+/// merge through the one kernel of membership/merge_union.hpp.
 constexpr bool fresher(const CacheEntry& a, const CacheEntry& b) {
   if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
   return a.id < b.id;
@@ -78,11 +78,17 @@ public:
   /// and truncating to capacity.
   void insert(CacheEntry entry);
 
-  /// The NEWSCAST merge: from the union of this cache, `received`, and
-  /// the sender's own fresh descriptor, keep the `capacity` freshest
-  /// distinct entries, never retaining `self`.
+  /// The NEWSCAST merge: from the union of this cache, `received` (in
+  /// any order), and the sender's own fresh descriptor, keep the
+  /// `capacity` freshest distinct entries, never retaining `self` or an
+  /// invalid id.
   void merge(std::span<const CacheEntry> received, CacheEntry sender_fresh,
              NodeId self);
+
+  /// Ids below this get a per-thread dedup byte in merge(); the bytes
+  /// grow to the largest such id seen (4 MiB at most), so a hostile id
+  /// off the wire takes the kernel's scan path instead of a resize.
+  static constexpr std::uint32_t kMaxDedupIds = 1u << 22;
 
   /// Uniform random cache entry; the GETNEIGHBOR() of fig. 1 when the
   /// overlay is NEWSCAST. Invalid when empty.

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <limits>
 
 #include "common/require.hpp"
 
@@ -21,60 +20,77 @@ enum class Tag : std::uint8_t {
 // malformed-input guard, not a protocol limit.
 constexpr std::size_t kMaxEntries = 1 << 16;
 
-class Writer {
-public:
-  explicit Writer(std::size_t reserve) { bytes_.reserve(reserve); }
+// Little-endian field layout, one load or store per field.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies fields in host byte order");
 
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<std::byte>(v)); }
+constexpr std::size_t kEntryBytes = 4 + 8;  // u32 id, u64 timestamp
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
+template <typename T>
+std::byte* put(std::byte* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+  return out + sizeof(T);
+}
+
+template <typename T>
+T load(const std::byte* in) {
+  T v;
+  std::memcpy(&v, in, sizeof(T));
+  return v;
+}
+
+std::byte* put_entries(std::byte* out,
+                       const std::vector<membership::CacheEntry>& entries,
+                       const membership::CacheEntry& fresh) {
+  GOSSIP_REQUIRE(entries.size() < kMaxEntries, "cache too large to encode");
+  out = put<std::uint32_t>(out, fresh.id.value());
+  out = put<std::uint64_t>(out, fresh.timestamp);
+  out = put(out, static_cast<std::uint32_t>(entries.size()));
+  for (const auto& e : entries) {
+    out = put<std::uint32_t>(out, e.id.value());
+    out = put<std::uint64_t>(out, e.timestamp);
   }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  std::vector<std::byte> take() { return std::move(bytes_); }
-
-private:
-  std::vector<std::byte> bytes_;
-};
+  return out;
+}
 
 class Reader {
 public:
   explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-  std::uint8_t u8() {
-    GOSSIP_REQUIRE(pos_ + 1 <= bytes_.size(), "truncated message");
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
+  [[nodiscard]] std::size_t remaining() const {
+    return bytes_.size() - pos_;
   }
 
-  std::uint32_t u32() {
-    GOSSIP_REQUIRE(pos_ + 4 <= bytes_.size(), "truncated message");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-    }
+  template <typename T>
+  T next() {
+    GOSSIP_REQUIRE(remaining() >= sizeof(T), "truncated message");
+    const T v = load<T>(&bytes_[pos_]);
+    pos_ += sizeof(T);
     return v;
   }
 
-  std::uint64_t u64() {
-    GOSSIP_REQUIRE(pos_ + 8 <= bytes_.size(), "truncated message");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-
+  std::uint8_t u8() { return next<std::uint8_t>(); }
+  std::uint32_t u32() { return next<std::uint32_t>(); }
+  std::uint64_t u64() { return next<std::uint64_t>(); }
   double f64() { return std::bit_cast<double>(u64()); }
+
+  /// Reads `count` cache entries. The block's length is checked once,
+  /// before the vector is sized, and the entries are read unchecked.
+  void entries(std::uint32_t count,
+               std::vector<membership::CacheEntry>& out) {
+    GOSSIP_REQUIRE(count < kMaxEntries, "malformed entry count");
+    GOSSIP_REQUIRE(kEntryBytes * count <= remaining(),
+                   "truncated message: entry count exceeds its bytes");
+    out.resize(count);
+    if (count == 0) return;
+    const std::byte* in = &bytes_[pos_];
+    for (auto& e : out) {
+      e = membership::CacheEntry{NodeId(load<std::uint32_t>(in)),
+                                 load<std::uint64_t>(in + 4)};
+      in += kEntryBytes;
+    }
+    pos_ += kEntryBytes * count;
+  }
 
   void expect_end() const {
     GOSSIP_REQUIRE(pos_ == bytes_.size(), "trailing bytes after message");
@@ -85,20 +101,6 @@ private:
   std::size_t pos_ = 0;
 };
 
-void write_entries(Writer& w,
-                   const std::vector<membership::CacheEntry>& entries,
-                   const membership::CacheEntry& fresh) {
-  w.u32(fresh.id.is_valid() ? fresh.id.value()
-                            : std::numeric_limits<std::uint32_t>::max());
-  w.u64(fresh.timestamp);
-  GOSSIP_REQUIRE(entries.size() < kMaxEntries, "cache too large to encode");
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) {
-    w.u32(e.id.value());
-    w.u64(e.timestamp);
-  }
-}
-
 void read_entries(Reader& r, std::vector<membership::CacheEntry>& entries,
                   membership::CacheEntry& fresh) {
   // The wire keeps the historical 64-bit timestamp field; the packed
@@ -107,15 +109,7 @@ void read_entries(Reader& r, std::vector<membership::CacheEntry>& entries,
   // malformed message, same class as a bad entry count).
   const NodeId fresh_id(r.u32());
   fresh = membership::CacheEntry{fresh_id, r.u64()};
-  const std::uint32_t count = r.u32();
-  GOSSIP_REQUIRE(count < kMaxEntries, "malformed entry count");
-  entries.clear();
-  entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t ts = r.u64();
-    entries.push_back(membership::CacheEntry{NodeId(id), ts});
-  }
+  r.entries(r.u32(), entries);
 }
 
 }  // namespace
@@ -136,28 +130,34 @@ std::size_t encoded_size(const Message& message) {
   return std::visit(Sizer{}, message);
 }
 
-std::vector<std::byte> encode(const Message& message) {
-  Writer w(encoded_size(message));
+void encode(const Message& message, std::vector<std::byte>& out) {
+  out.resize(encoded_size(message));
+  std::byte* p = out.data();
   if (const auto* push = std::get_if<AggPush>(&message)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAggPush));
-    w.u64(push->epoch);
-    w.u64(push->request_id);
-    w.f64(push->value);
+    p = put(p, Tag::kAggPush);
+    p = put(p, push->epoch);
+    p = put(p, push->request_id);
+    put(p, push->value);
   } else if (const auto* reply = std::get_if<AggReply>(&message)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAggReply));
-    w.u64(reply->epoch);
-    w.u64(reply->request_id);
-    w.f64(reply->value);
-    w.u8(reply->refused ? 1 : 0);
+    p = put(p, Tag::kAggReply);
+    p = put(p, reply->epoch);
+    p = put(p, reply->request_id);
+    p = put(p, reply->value);
+    put<std::uint8_t>(p, reply->refused ? 1 : 0);
   } else if (const auto* news = std::get_if<NewsPush>(&message)) {
-    w.u8(static_cast<std::uint8_t>(Tag::kNewsPush));
-    write_entries(w, news->entries, news->fresh);
+    p = put(p, Tag::kNewsPush);
+    put_entries(p, news->entries, news->fresh);
   } else {
-    const auto& reply = std::get<NewsReply>(message);
-    w.u8(static_cast<std::uint8_t>(Tag::kNewsReply));
-    write_entries(w, reply.entries, reply.fresh);
+    const auto& answer = std::get<NewsReply>(message);
+    p = put(p, Tag::kNewsReply);
+    put_entries(p, answer.entries, answer.fresh);
   }
-  return w.take();
+}
+
+std::vector<std::byte> encode(const Message& message) {
+  std::vector<std::byte> out;
+  encode(message, out);
+  return out;
 }
 
 Message decode(std::span<const std::byte> bytes) {

@@ -17,11 +17,19 @@
 
 namespace gossip::proto {
 
-/// Serializes a message. Layout: [u8 tag][fixed fields][entries...].
+/// Serializes a message into `out`, replacing its contents. Layout:
+/// [u8 tag][fixed fields][entries...]. Each field is one store through a
+/// pointer into `out`, whose capacity is reused: a host that encodes
+/// every send into a recycled buffer allocates only when a message
+/// outgrows it.
+void encode(const Message& message, std::vector<std::byte>& out);
+
+/// Serializes a message into a new buffer (the form above, wrapped).
 std::vector<std::byte> encode(const Message& message);
 
 /// Parses a message; throws gossip::require_error on truncated input,
-/// unknown tags, oversized entry counts or trailing bytes.
+/// unknown tags, oversized entry counts or trailing bytes. An entry
+/// count is checked against the bytes left before any entry is stored.
 Message decode(std::span<const std::byte> bytes);
 
 /// Exact size encode() would produce, without allocating.

@@ -13,15 +13,26 @@
 // in flight refuses incoming pushes with a NACK.
 //
 // Cycle closure is quiescence-based, which makes timeouts loss-exact: a
-// global in-flight frame counter follows the strict discipline "a reply
-// is enqueued (counted) before the push that triggered it is released",
-// so in_flight == 0 proves no local reply can ever arrive — any pending
-// still open at that point corresponds to a genuinely lost message.
-// Consequence: under zero injected loss the global sum is conserved
-// exactly (both sides of every completed exchange compute (a+b)/2 from
-// identical operands, and no pending is ever expired while its reply is
-// alive). Replies to remote peers ride reliable TCP and expire only on
-// the per-cycle wall deadline.
+// global in-flight frame counter follows a strict discipline — a frame is
+// counted before it is published, and a processed frame is released only
+// after the replies it caused are counted — so in_flight == 0 proves no
+// local reply can ever arrive: any pending still open at that point
+// corresponds to a genuinely lost message. Consequence: under zero
+// injected loss the global sum is conserved exactly (both sides of every
+// completed exchange compute (a+b)/2 from identical operands, and no
+// pending is ever expired while its reply is alive). Replies to remote
+// peers ride reliable TCP and expire only on the per-cycle wall deadline.
+//
+// Frame payloads allocate nothing in steady state, and a worker takes one
+// lock per batch of frames. A worker encodes each send into a payload
+// buffer recycled from a frame it processed, and its local sends wait in
+// one outbox per destination worker. A flush counts every queued frame
+// with one add, hands each batch to its worker's mailbox under one lock,
+// and then releases the frames processed since the last flush with one
+// subtract. Workers flush at the start and end of each drain, and
+// whenever kFlushEvery frames are queued or processed since the last
+// flush. Frames the socket receiver thread delivers skip the outboxes:
+// they are counted and published one at a time.
 //
 // The executor runs one cycle-stepped epoch: between cycles a driver
 // thread applies the failure plan (kills/joins), the drift stream and
@@ -32,6 +43,7 @@
 // one-worker loopback run handles every frame in one order and is pinned.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -119,9 +131,16 @@ public:
 private:
   struct Worker {
     std::mutex mutex;
-    std::vector<Frame> ingress;       ///< MPSC mailbox (sink pushes here)
+    std::vector<Frame> ingress;  ///< MPSC mailbox: flushes, receiver thread
     std::vector<Frame> grab;          ///< drain swap buffer
     std::vector<Frame> held;          ///< delay-injected min-heap
+    /// Local sends, one batch per destination worker, until a flush.
+    std::vector<std::vector<Frame>> outbox;
+    std::uint32_t queued = 0;     ///< frames in outbox, not yet counted
+    std::uint32_t processed = 0;  ///< frames handled, not yet released
+    /// Recycled payloads, one pool per message family (aggregation,
+    /// NEWSCAST), so a buffer is reused at the size its family needs.
+    std::array<std::vector<std::vector<std::byte>>, 2> spares;
     std::vector<std::uint32_t> own;   ///< local slots this worker owns
     std::vector<std::vector<std::uint32_t>> wheel;  ///< slot buckets
     Rng rng;
@@ -138,7 +157,9 @@ private:
   void worker_main(std::uint32_t index);
   void run_cycle(Worker& w, std::uint32_t cycle);
   bool drain(Worker& w);
-  void process(Worker& w, Frame&& frame);
+  void flush(Worker& w);
+  void handle(Worker& w, Frame& frame);
+  void process(Worker& w, Frame& frame);
   void send_message(Worker& w, std::uint32_t from_slot, NodeId to,
                     const proto::Message& message);
   [[nodiscard]] NodeId pick_peer(Worker& w, std::uint32_t slot);

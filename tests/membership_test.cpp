@@ -20,6 +20,28 @@
 namespace gossip::membership {
 namespace {
 
+/// The NEWSCAST merge spelled out, independent of the kernel every cache
+/// runs: concatenate the view, `received` and the fresh descriptor,
+/// stable-sort by `fresher`, keep the first copy of each id, drop `self`
+/// and invalid ids, and cut at c.
+std::vector<CacheEntry> naive_merge(std::span<const CacheEntry> view,
+                                    std::span<const CacheEntry> received,
+                                    CacheEntry fresh, NodeId self,
+                                    std::size_t c) {
+  std::vector<CacheEntry> all(view.begin(), view.end());
+  all.insert(all.end(), received.begin(), received.end());
+  all.push_back(fresh);
+  std::stable_sort(all.begin(), all.end(), fresher);
+  std::vector<CacheEntry> kept;
+  for (const CacheEntry& e : all) {
+    if (kept.size() == c) break;
+    const bool dup = std::any_of(kept.begin(), kept.end(),
+                                 [&](const CacheEntry& k) { return k.id == e.id; });
+    if (!dup && e.id != self && e.id.is_valid()) kept.push_back(e);
+  }
+  return kept;
+}
+
 TEST(NewscastCache, CapacityEnforced) {
   NewscastCache c(3);
   for (std::uint32_t i = 0; i < 10; ++i) {
@@ -168,9 +190,9 @@ TEST(NewscastNetwork, BootstrapSmallNetworkCapsFill) {
   }
 }
 
-// Pins the bootstrap's contents, not just its shape: every slot equals a
-// NewscastCache built by inserting, in draw order, the ids a twin Rng
-// draws for that node, and the bootstrap consumes exactly those draws.
+// Pins the bootstrap's contents, not just its shape: every slot equals the
+// naive merge of the ids a twin Rng draws for that node, inserted in draw
+// order, and the bootstrap consumes exactly those draws.
 // Every NEWSCAST golden rests on this. The shapes put the fill on both
 // sides of Rng::kSampleScanLimit, at n - 1 below c on both sides, and
 // across several of the per-node pass's 1024-node jobs; each runs
@@ -200,12 +222,14 @@ TEST(NewscastNetwork, BootstrapMatchesMergeReference) {
     for (std::uint64_t seed : {11u, 12u}) {
       for (std::uint64_t now : {0u, 7u}) {
         Rng twin(seed);
-        std::vector<NewscastCache> reference(s.n, NewscastCache(s.c));
+        std::vector<std::vector<CacheEntry>> reference(s.n);
         for (std::uint32_t u = 0; u < s.n; ++u) {
           for (std::uint64_t raw : twin.sample_distinct(s.n - 1, fill)) {
             const auto v =
                 static_cast<std::uint32_t>(raw >= u ? raw + 1 : raw);
-            reference[u].insert(CacheEntry{NodeId(v), now});
+            reference[u] = naive_merge(reference[u], {},
+                                       CacheEntry{NodeId(v), now},
+                                       NodeId::invalid(), s.c);
           }
         }
         const std::uint64_t next = twin();
@@ -216,7 +240,7 @@ TEST(NewscastNetwork, BootstrapMatchesMergeReference) {
           ASSERT_EQ(net.size(), s.n);
           for (std::uint32_t u = 0; u < s.n; ++u) {
             const auto got = net.view(NodeId(u));
-            const auto want = reference[u].entries();
+            const auto& want = reference[u];
             ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
                                    want.end()))
                 << "n=" << s.n << " c=" << s.c << " now=" << now << " "
@@ -368,12 +392,12 @@ TEST(NewscastPeerSampler, SamplesFromOwnCache) {
   }
 }
 
-// -------------------------------- differential: NewscastCache::merge
+// -------------------------------- differential: the naive merge
 
 // Every NewscastNetwork merge path must leave exactly the views that
-// NewscastCache::merge computes from the pre-operation snapshots. The
-// mirror holds one reference cache per node and applies each operation
-// to both sides: exchange on the default and on caller-owned buffers,
+// naive_merge computes from the pre-operation snapshots. The mirror
+// holds one reference view per node and applies each operation to both
+// sides: exchange on the default and on caller-owned buffers,
 // exchange_partial under all four flag pairs, joins, and inserts.
 class MergeMirror {
 public:
@@ -381,8 +405,8 @@ public:
       : c_(c), net_(c) {
     net_.bootstrap_random(n, now, rng);
     for (std::uint32_t u = 0; u < n; ++u) {
-      ref_.emplace_back(c);
-      ref_.back().merge(net_.view(NodeId(u)), CacheEntry{}, NodeId::invalid());
+      const auto view = net_.view(NodeId(u));
+      ref_.emplace_back(view.begin(), view.end());
     }
   }
 
@@ -409,21 +433,20 @@ public:
 
   void add_node(NodeId contact, std::uint64_t now) {
     const NodeId id(size());
-    const std::vector<CacheEntry> snap = snapshot(contact);
-    ref_.emplace_back(c_);
-    ref_.back().merge(snap, CacheEntry{contact, now}, id);
-    ref_[contact.value()].insert(CacheEntry{id, now});
+    ref_.push_back(naive_merge({}, ref_[contact.value()],
+                               CacheEntry{contact, now}, id, c_));
+    insert_reference(contact, CacheEntry{id, now});
     net_.add_node(id, contact, now);
   }
 
   void insert(NodeId u, CacheEntry e) {
-    ref_[u.value()].insert(e);
+    insert_reference(u, e);
     net_.cache(u).insert(e);
   }
 
   void expect_matches(NodeId u, const std::string& op) const {
     const auto got = net_.view(u);
-    const auto want = ref_[u.value()].entries();
+    const auto& want = ref_[u.value()];
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << op << ": node " << u.value() << " holds " << got.size()
         << " entries, reference " << want.size();
@@ -437,31 +460,28 @@ public:
   }
 
 private:
-  [[nodiscard]] std::vector<CacheEntry> snapshot(NodeId u) const {
-    const auto es = ref_[u.value()].entries();
-    return {es.begin(), es.end()};
+  void insert_reference(NodeId u, CacheEntry e) {
+    ref_[u.value()] =
+        naive_merge(ref_[u.value()], {}, e, NodeId::invalid(), c_);
   }
 
   void partial_reference(NodeId a, NodeId b, std::uint64_t now, bool a_sends,
                          bool b_sends) {
-    const std::vector<CacheEntry> snap_a = snapshot(a);
-    const std::vector<CacheEntry> snap_b = snapshot(b);
-    ref_[b.value()].merge(
-        a_sends ? std::span<const CacheEntry>(snap_a)
-                : std::span<const CacheEntry>{},
-        CacheEntry{a, now}, b);
-    ref_[a.value()].merge(
-        b_sends ? std::span<const CacheEntry>(snap_b)
-                : std::span<const CacheEntry>{},
-        CacheEntry{b, now}, a);
+    const std::vector<CacheEntry> snap_a = ref_[a.value()];
+    const std::vector<CacheEntry> snap_b = ref_[b.value()];
+    const std::vector<CacheEntry> none;
+    ref_[b.value()] = naive_merge(snap_b, a_sends ? snap_a : none,
+                                  CacheEntry{a, now}, b, c_);
+    ref_[a.value()] = naive_merge(snap_a, b_sends ? snap_b : none,
+                                  CacheEntry{b, now}, a, c_);
   }
 
   std::size_t c_;
   NewscastNetwork net_;
-  std::vector<NewscastCache> ref_;
+  std::vector<std::vector<CacheEntry>> ref_;
 };
 
-TEST(NewscastNetwork, EveryMergePathMatchesCacheMerge) {
+TEST(NewscastNetwork, EveryMergePathMatchesNaiveMerge) {
   struct Shape {
     std::size_t c;
     std::uint32_t n;
@@ -553,6 +573,59 @@ TEST(NewscastNetwork, EveryMergePathMatchesCacheMerge) {
         if (op % 100 == 99) {
           ASSERT_NO_FATAL_FAILURE(mirror.expect_all_match(where));
         }
+      }
+    }
+  }
+}
+
+// NewscastCache::merge, the live hosts' merge, against the naive
+// reference on any input the wire can carry: received views in any
+// order, duplicate ids within one view, ids either side of the dedup cap
+// and at the top of the id space, `self` inside `received`, invalid ids
+// ({invalid, 0} included, which packs to the kernel's run-end key), empty
+// views and an invalid sender descriptor, at c in {1, 2, 30, 64}.
+TEST(NewscastCache, MergeMatchesNaiveMergeOnAnyInput) {
+  constexpr std::uint32_t kCap = NewscastCache::kMaxDedupIds;
+  for (const std::size_t c : {1u, 2u, 30u, 64u}) {
+    Rng rng(900 + c);
+    const auto ids = static_cast<std::uint32_t>(4 * c);
+    for (int trial = 0; trial < 20; ++trial) {
+      const NodeId self(static_cast<std::uint32_t>(rng.below(ids)));
+      const auto draw_id = [&]() -> NodeId {
+        switch (rng.below(12)) {
+          case 0: return self;
+          case 1: return NodeId::invalid();
+          case 2:
+            return NodeId(kCap - 1 + static_cast<std::uint32_t>(rng.below(3)));
+          case 3:
+            return NodeId(0xfffffffeu -
+                          static_cast<std::uint32_t>(rng.below(2)));
+          default: return NodeId(static_cast<std::uint32_t>(rng.below(ids)));
+        }
+      };
+      NewscastCache cache(c);
+      std::vector<CacheEntry> reference;
+      std::uint64_t now = 3;
+      for (int op = 0; op < 60; ++op) {
+        now += rng.below(2);  // equal timestamps across merges
+        std::vector<CacheEntry> received(rng.below(2 * c + 3));
+        for (CacheEntry& e : received) e = {draw_id(), rng.below(now + 1)};
+        if (rng.chance(0.5)) {
+          std::stable_sort(received.begin(), received.end(), fresher);
+        } else {
+          rng.shuffle(std::span<CacheEntry>(received));
+        }
+        const CacheEntry fresh = rng.chance(0.2)
+                                     ? CacheEntry{NodeId::invalid(), 0}
+                                     : CacheEntry{draw_id(), now};
+        const NodeId merge_self = rng.chance(0.1) ? NodeId::invalid() : self;
+        reference = naive_merge(reference, received, fresh, merge_self, c);
+        cache.merge(received, fresh, merge_self);
+        const auto got = cache.entries();
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), reference.begin(),
+                               reference.end()))
+            << "c=" << c << " trial " << trial << " op " << op << ": "
+            << got.size() << " entries, reference " << reference.size();
       }
     }
   }

@@ -1,13 +1,15 @@
 // Tests for the deployment-runtime executor (src/runtime/executor.*,
 // src/runtime/transport.*): exact sum conservation under zero loss, the
 // loss-exact quiescence discipline (no timeout and no late reply ever
-// happens without real loss), liveness under injected loss, N >= 1000 on
-// the Engine path in one process, and a two-process socket run hosted on
-// two threads. Runs with several workers are wall-clock concurrent and not
+// happens without real loss), also under batched outboxes and held
+// frames, liveness under injected loss, one error (not a hang) for a
+// corrupt frame, N >= 1000 on the Engine path in one process, and a
+// two-process socket run hosted on two threads. Runs with several workers are wall-clock concurrent and not
 // bit-deterministic, so their assertions are protocol invariants; one-worker
 // loopback runs are repeatable and pinned exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -19,6 +21,7 @@
 #include "experiment/engine.hpp"
 #include "experiment/spec.hpp"
 #include "failure/failure_plan.hpp"
+#include "net/latency.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/transport.hpp"
 
@@ -109,6 +112,109 @@ TEST(Executor, LoopbackDeliversDelayedFrames) {
   EXPECT_DOUBLE_EQ(result.sum_final, result.sum_initial);
   EXPECT_EQ(result.counters.timeouts, 0u);
   EXPECT_GT(result.counters.exchanges_completed, 0u);
+}
+
+// Quiescence under batching: a worker's sends wait in per-worker
+// outboxes, and a flush counts them, publishes them and only then
+// releases the frames it processed, so in_flight == 0 still proves no
+// local reply is alive. Zero-loss NEWSCAST runs on 2 and 4 workers, with
+// and without injected delay (frames held to their deadline), over 5
+// seeds each: the sum is conserved exactly, and no pending is ever
+// expired while its reply is alive.
+TEST(Executor, BatchedOutboxesKeepQuiescenceExact) {
+  for (const std::uint32_t workers : {2u, 4u}) {
+    for (const bool delayed : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " delayed=" + std::to_string(delayed) +
+                     " seed=" + std::to_string(seed));
+        FaultConfig faults;
+        faults.seed = seed;
+        if (delayed) {
+          faults.latency = std::make_shared<net::UniformLatency>(0, 300);
+        }
+        LoopbackTransport transport(faults);
+        ExecutorConfig cfg = peak_config(2000, 6, workers);
+        cfg.overlay = OverlayMode::kNewscast;
+        cfg.seed = seed;
+        Executor executor(std::move(cfg), transport);
+        const ExecutorResult result = executor.run(failure::NoFailures());
+
+        const RuntimeCounters& c = result.counters;
+        EXPECT_DOUBLE_EQ(result.sum_final, result.sum_initial);
+        EXPECT_EQ(c.timeouts, 0u);
+        EXPECT_EQ(c.late_replies, 0u);
+        EXPECT_EQ(c.replies_sent, c.replies_received);
+        EXPECT_EQ(c.bytes_encoded, c.bytes_decoded);
+        EXPECT_GT(c.exchanges_completed, 0u);
+      }
+    }
+  }
+}
+
+/// Loopback that damages the k-th frame sent: cut by its last byte, or
+/// its tag replaced by one no message has.
+class CorruptingTransport final : public Transport {
+public:
+  enum class Damage { kTruncate, kGarble };
+
+  CorruptingTransport(std::uint64_t k, Damage damage)
+      : Transport({}), k_(k), damage_(damage) {}
+
+  bool send(NodeId src, NodeId dst, std::vector<std::byte> payload) override {
+    if (sent_.fetch_add(1, std::memory_order_relaxed) + 1 == k_) {
+      if (damage_ == Damage::kTruncate) {
+        payload.pop_back();
+      } else {
+        payload[0] = std::byte{0x7f};
+      }
+    }
+    std::chrono::steady_clock::time_point deliver_at;
+    if (fault_drop(deliver_at)) return false;
+    deliver(Frame{src, dst, std::move(payload), deliver_at});
+    return true;
+  }
+  [[nodiscard]] bool is_local(NodeId) const override { return true; }
+
+private:
+  std::atomic<std::uint64_t> sent_{0};
+  std::uint64_t k_;
+  Damage damage_;
+};
+
+// A corrupt frame ends a 4-worker run with one error that names the
+// decode failure, never a hang. The 300th frame is handled in the first
+// wheel tick's drain, between two flushes, so the worker that fails still
+// holds queued outbox frames and processed frames it has not released
+// (14 of each, when instrumented), and the in-flight count never drains
+// to zero: the other workers must stop on the failure flag, not on
+// quiescence.
+TEST(Executor, CorruptFrameEndsFourWorkerRunWithOneError) {
+  using Damage = CorruptingTransport::Damage;
+  const std::pair<Damage, const char*> cases[] = {
+      {Damage::kTruncate, "truncated message"},
+      {Damage::kGarble, "unknown message tag"},
+  };
+  for (const auto& [damage, reason] : cases) {
+    SCOPED_TRACE(reason);
+    CorruptingTransport transport(300, damage);
+    ExecutorConfig cfg = peak_config(2000, 20, 4);
+    cfg.overlay = OverlayMode::kNewscast;
+    Executor executor(std::move(cfg), transport);
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      (void)executor.run(failure::NoFailures());
+      ADD_FAILURE() << "a run with a corrupt frame returned";
+    } catch (const require_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("executor run failed"), std::string::npos) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              5.0);
+  }
 }
 
 // The ScenarioSpec path at scale: N = 1000 live nodes in one process on

@@ -3,6 +3,9 @@
 // paper's message-size claims (§7.3 / §4.4).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -156,6 +159,95 @@ TEST(Wire, RejectsOversizedEntryCount) {
     bytes.push_back(static_cast<std::byte>((count >> (8 * i)) & 0xff));
   }
   EXPECT_THROW((void)decode(bytes), require_error);
+}
+
+std::vector<std::byte> bytes_of(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (const int v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+// Round trips cannot see a layout change that encode and decode make
+// together, so each message type is pinned to a hand-written byte
+// string: little-endian fields, in declaration order.
+TEST(Wire, GoldenBytesForEveryMessageType) {
+  NewsPush news;
+  news.fresh = {NodeId(7), 0x01020304};
+  news.entries = {{NodeId(5), 9}, {NodeId(0x0a0b0c0d), 0xffffffff}};
+  NewsReply empty;
+  empty.fresh = {NodeId::invalid(), 0};
+  const std::pair<Message, std::vector<std::byte>> goldens[] = {
+      {AggPush{0x0102030405060708, 9, 1.5},
+       bytes_of({0x01,                                            // tag
+                 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // epoch
+                 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request
+                 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f})},  // 1.5
+      {AggReply{2, 0x1122334455667788, -2.0, true},
+       bytes_of({0x02,                                            // tag
+                 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch
+                 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // request
+                 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,  // -2.0
+                 0x01})},                                         // refused
+      {news,
+       bytes_of({0x03,                                            // tag
+                 0x07, 0x00, 0x00, 0x00,                          // fresh id
+                 0x04, 0x03, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00,  // fresh ts
+                 0x02, 0x00, 0x00, 0x00,                          // count
+                 0x05, 0x00, 0x00, 0x00,                          // id
+                 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ts
+                 0x0d, 0x0c, 0x0b, 0x0a,                          // id
+                 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00})},  // ts
+      {empty,
+       bytes_of({0x04,                                            // tag
+                 0xff, 0xff, 0xff, 0xff,                          // invalid
+                 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // fresh ts
+                 0x00, 0x00, 0x00, 0x00})},                       // count
+  };
+  for (const auto& [message, golden] : goldens) {
+    SCOPED_TRACE(message.index());
+    EXPECT_EQ(encode(message), golden);
+    EXPECT_EQ(encode(decode(golden)), golden);
+  }
+}
+
+// A count below kMaxEntries that its bytes cannot hold is rejected by the
+// one check of the entry block, before any entry vector is sized.
+TEST(Wire, LyingEntryCountRejectedBeforeSizing) {
+  for (const std::uint8_t tag : {3, 4}) {
+    std::vector<std::byte> bytes(1 + 12 + 4 + 30, std::byte{0});
+    bytes[0] = std::byte{tag};
+    const std::uint32_t count = 40000;
+    for (int i = 0; i < 4; ++i) {
+      bytes[13 + i] = static_cast<std::byte>((count >> (8 * i)) & 0xff);
+    }
+    try {
+      (void)decode(bytes);
+      ADD_FAILURE() << "a 40000-entry count in 30 bytes decoded";
+    } catch (const require_error& e) {
+      EXPECT_NE(std::string(e.what()).find("entry count exceeds its bytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The reusable-buffer encode writes exactly the fresh encode's bytes, into
+// a buffer that last held a longer message, a shorter one, or nothing.
+TEST(Wire, EncodeIntoUsedBufferMatchesFreshEncode) {
+  NewsPush big;
+  big.fresh = {NodeId(1), 2};
+  for (std::uint32_t i = 0; i < 64; ++i) big.entries.push_back({NodeId(i), i});
+  NewsReply small;
+  small.fresh = {NodeId(3), 4};
+  small.entries = {{NodeId(8), 1}};
+  const std::vector<Message> sequence{big,  AggPush{1, 2, 0.25}, small,
+                                      AggReply{3, 4, -1.0, false}, big,
+                                      small};
+  std::vector<std::byte> buffer;
+  for (const Message& message : sequence) {
+    encode(message, buffer);
+    EXPECT_EQ(buffer, encode(message)) << "message type " << message.index();
+  }
 }
 
 TEST(Wire, BitFlipCorpusIsRejectedOrBenign) {
