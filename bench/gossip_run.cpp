@@ -8,20 +8,19 @@
 //   gossip_run --spec experiment.json [--set key=value ...]
 //       run an ad-hoc declarative ScenarioSpec
 //   gossip_run --scenario fig02 --set reps=50 --set nodes=100000
-//       scale overrides without touching the environment
+//       scale overrides
 //
-// Scale resolution for --scenario: --set beats GOSSIP_N / GOSSIP_REPS /
-// GOSSIP_SEED / GOSSIP_FULL, which beat the scenario's scaled defaults.
-// Engine knobs (--set threads=…, shards=…, engine=…) beat the spec,
-// which beats GOSSIP_THREADS / GOSSIP_SHARDS, which beat the hardware.
+// A run is a function of its command line; no environment variable is
+// read. Scale resolution for --scenario: --set nodes / reps / seed beat
+// the scenario's defaults, scaled or (--set full=1) the paper's. Engine
+// knobs (--set threads=…, shards=…, engine=…) beat the spec, which beats
+// the hardware.
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/json.hpp"
 #include "experiment/emit.hpp"
 #include "experiment/engine.hpp"
@@ -56,11 +55,7 @@ int usage(std::ostream& os, int code) {
         "                      (shorthand for --set driver=runtime; spec\n"
         "                      files only)\n"
         "  --format FMT        table (default), csv, or json (with\n"
-        "                      provenance block)\n"
-        "\n"
-        "environment: GOSSIP_N, GOSSIP_REPS, GOSSIP_SEED, GOSSIP_FULL,\n"
-        "GOSSIP_THREADS, GOSSIP_SHARDS, GOSSIP_CSV_DIR (see "
-        "EXPERIMENTS.md)\n";
+        "                      provenance block)\n";
   return code;
 }
 
@@ -71,7 +66,7 @@ int list_scenarios() {
   }
   table.print(std::cout);
   std::cout << "\nrun one with: gossip_run --scenario <name>   "
-               "(GOSSIP_FULL=1 for paper scale)\n";
+               "(--set full=1 for paper scale)\n";
   return 0;
 }
 
@@ -118,13 +113,13 @@ int run_registered(const std::string& name,
   }
   // `full` must resolve before nodes/reps: it selects which defaults
   // (scaled vs paper) those resolve *from*.
-  std::optional<bool> full_override;
+  bool full = false;
   for (const SetOverride& set : sets) {
     if (set.key != "full") continue;
     if (set.value == "1" || set.value == "true") {
-      full_override = true;
+      full = true;
     } else if (set.value == "0" || set.value == "false") {
-      full_override = false;
+      full = false;
     } else {
       throw SpecError("spec: --set full expects true/false, got '" +
                       set.value + "'");
@@ -132,25 +127,21 @@ int run_registered(const std::string& name,
   }
   Scale scale = bench_scale(def->info.def_nodes, def->info.def_reps,
                             def->info.paper_nodes, def->info.paper_reps,
-                            full_override);
+                            full);
   EngineOptions options;
   for (const SetOverride& set : sets) {
     if (set.key == "nodes") {
-      scale.nodes = static_cast<std::uint32_t>(
-          parse_u64_field(set.key, set.value));
+      scale.nodes = parse_u32_field(set.key, set.value);
     } else if (set.key == "reps") {
-      scale.reps = static_cast<std::uint32_t>(
-          parse_u64_field(set.key, set.value));
+      scale.reps = parse_u32_field(set.key, set.value);
     } else if (set.key == "seed") {
       scale.seed = parse_u64_field(set.key, set.value);
     } else if (set.key == "full") {
       // already applied above
     } else if (set.key == "threads") {
-      options.threads = static_cast<unsigned>(
-          parse_u64_field(set.key, set.value));
+      options.threads = parse_u32_field(set.key, set.value);
     } else if (set.key == "shards") {
-      options.shards = static_cast<unsigned>(
-          parse_u64_field(set.key, set.value));
+      options.shards = parse_u32_field(set.key, set.value);
     } else if (set.key == "engine") {
       options.kind = engine_kind_from_string(set.value);
     } else {
@@ -166,15 +157,16 @@ int run_registered(const std::string& name,
     }
   }
   if (format == OutputFormat::kTable) {
+    const unsigned threads =
+        options.threads != 0 ? options.threads : runner_threads();
     print_banner(std::cout, def->info.figure, def->info.description,
-                 {scale_note(scale, def->info.paper_setup),
-                  "(GOSSIP_FULL=1 for paper scale; GOSSIP_N / GOSSIP_REPS / "
-                  "GOSSIP_SEED override)"});
+                 {scale_note(scale, def->info.paper_setup, threads),
+                  "(--set full=1 for paper scale; --set nodes / reps / "
+                  "seed override)"});
   }
   ScenarioOutput out = run_scenario(*def, scale, options);
   render_scenario(std::cout, name, out.table, out.trailer, out.results,
                   format, scale.full);
-  if (format == OutputFormat::kTable) out.table.maybe_write_csv_file(name);
   return 0;
 }
 
@@ -192,18 +184,18 @@ int run_spec_file(const std::string& path,
   EngineOptions options;
   for (const SetOverride& set : sets) {
     if (set.key == "threads") {
-      options.threads = static_cast<unsigned>(
-          parse_u64_field(set.key, set.value));
+      options.threads = parse_u32_field(set.key, set.value);
     } else if (set.key == "shards") {
-      options.shards = static_cast<unsigned>(
-          parse_u64_field(set.key, set.value));
+      options.shards = parse_u32_field(set.key, set.value);
     } else {
       apply_override(spec, set.key, set.value);
     }
   }
   // Overrides are only valid/invalid as a whole — validate once here,
   // so `--set instances=4 --set aggregate=count` works in either order.
-  validate(spec);
+  // --set threads/shards stay out of the spec (and its spec_hash) but
+  // are validated as run.
+  validate_as_run(spec, resolve_engine(spec, options));
   if (validate_only) {
     // Everything parsed and validated; echo the canonical form (what
     // spec_hash hashes, indented) so CI can diff what it checked.
@@ -299,9 +291,6 @@ int main(int argc, char** argv) {
     }
     return usage(std::cerr, 2);
   } catch (const SpecError& e) {
-    std::cerr << "gossip_run: " << e.what() << '\n';
-    return 2;
-  } catch (const EnvError& e) {
     std::cerr << "gossip_run: " << e.what() << '\n';
     return 2;
   } catch (const json::Error& e) {

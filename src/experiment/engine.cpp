@@ -317,15 +317,13 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   return out;
 }
 
-/// validate() on `spec` as the Engine runs it: with the resolved engine
-/// in place of the spec's own, so an EngineOptions override (the CLI's
-/// --set engine=…) meets the same rules as the spec's engine field.
-void validate_as_run(ScenarioSpec spec, EngineKind kind) {
-  spec.engine = kind;
+}  // namespace
+
+void validate_as_run(ScenarioSpec spec, const ResolvedEngine& resolved) {
+  spec.engine = resolved.kind;
+  spec.threads = resolved.threads;
   validate(spec);
 }
-
-}  // namespace
 
 ResolvedEngine resolve_engine(const ScenarioSpec& spec,
                               const EngineOptions& options) {
@@ -334,10 +332,8 @@ ResolvedEngine resolve_engine(const ScenarioSpec& spec,
       options.threads != 0 ? options.threads : spec.threads;
   const unsigned spec_shards =
       options.shards != 0 ? options.shards : spec.shards;
-  // runner_threads()/runner_shards() apply the strict GOSSIP_THREADS /
-  // GOSSIP_SHARDS resolution (EnvError on malformed or zero values).
   r.threads = spec_threads != 0 ? spec_threads : runner_threads();
-  r.shards = spec_shards != 0 ? spec_shards : runner_shards();
+  r.shards = spec_shards != 0 ? spec_shards : runner_threads();
 
   EngineKind kind =
       options.kind != EngineKind::kAuto ? options.kind : spec.engine;
@@ -379,7 +375,7 @@ ParallelRunner& Engine::pool_for(unsigned threads, std::size_t max_jobs) {
 RunResult Engine::run_single(const ScenarioSpec& spec, std::uint64_t raw_seed,
                              const failure::FailurePlan* plan_override) {
   const ResolvedEngine re = resolve_engine(spec, options_);
-  validate_as_run(spec, re.kind);
+  validate_as_run(spec, re);
   switch (spec.driver) {
     case DriverKind::kEvent:
       return exec_event(spec, raw_seed);
@@ -402,7 +398,7 @@ std::vector<RunResult> Engine::run_point(const ScenarioSpec& spec,
   validate(spec);
   const ScenarioSpec point_spec = spec.at_point(index);
   const ResolvedEngine re = resolve_point(spec, index);
-  validate_as_run(point_spec, re.kind);
+  validate_as_run(point_spec, re);
   const std::uint64_t point_id = spec.sweep.points[index].seed_point;
 
   if (re.kind == EngineKind::kIntraRep) {

@@ -1,14 +1,13 @@
 // The Engine facade: the single execution entry point for every
 // experiment workload. It takes a declarative ScenarioSpec (spec.hpp),
 // picks the execution path — serial, repetition-parallel fan-out, or the
-// domain-decomposed intra-rep mode — resolves the GOSSIP_THREADS /
-// GOSSIP_SHARDS knobs (strictly: malformed or zero values stop the run
-// with a one-line error), and returns one unified RunResult shape for
-// all drivers: the cycle simulator, the event-driven world, the
-// push-sum baseline and the deployment runtime (runtime::Executor).
-// Before it runs a point it validates that point's spec with the
-// resolved engine written in, so an engine override meets the same
-// rules as the spec's own engine field.
+// domain-decomposed intra-rep mode — resolves the thread and shard
+// counts, and returns one unified RunResult shape for all drivers: the
+// cycle simulator, the event-driven world, the push-sum baseline and the
+// deployment runtime (runtime::Executor). Before it runs a point it
+// validates that point's spec with the resolved engine and thread count
+// written in, so an override meets the same rules as the spec's own
+// fields.
 //
 // Engine selection with `auto`:
 //   reps > 1                 → rep_parallel (bit-identical to serial for
@@ -93,7 +92,7 @@ std::uint64_t rep_seed(std::uint64_t base, std::uint64_t point,
 
 /// Optional overrides on top of the spec's engine fields (the CLI's
 /// --set threads=… path); zero / kAuto defer to the spec, which defers
-/// to GOSSIP_THREADS / GOSSIP_SHARDS, which defer to the hardware.
+/// to the hardware (runner_threads()).
 struct EngineOptions {
   EngineKind kind = EngineKind::kAuto;
   unsigned threads = 0;
@@ -107,12 +106,15 @@ struct ResolvedEngine {
   unsigned shards = 1;
 };
 
-/// Resolves spec + options + environment into a concrete engine choice.
-/// Throws EnvError (via runner_threads/runner_shards) on malformed
-/// GOSSIP_THREADS / GOSSIP_SHARDS. It checks nothing else: the Engine
-/// validates the spec with the resolved kind before it runs.
+/// Resolves spec + options + hardware into a concrete engine choice.
+/// It checks nothing: validate_as_run() does, before the Engine runs.
 ResolvedEngine resolve_engine(const ScenarioSpec& spec,
                               const EngineOptions& options = {});
+
+/// validate() on `spec` as it runs: the resolved engine kind and thread
+/// count written in, so an override (the CLI's --set engine=… or
+/// --set threads=…) meets the same rules as the spec's own fields.
+void validate_as_run(ScenarioSpec spec, const ResolvedEngine& resolved);
 
 /// One sweep point's executed repetitions (rep order).
 struct PointResult {

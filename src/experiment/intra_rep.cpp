@@ -60,10 +60,10 @@ IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
     : SimulationCore(checked(config), Rng(seed), bootstrap),
       seed_(seed),
       // Degenerate-geometry guard: more shards than nodes would only
-      // schedule empty per-shard jobs every phase (GOSSIP_SHARDS can be
-      // 4096 against N=8 in scaled-down CI runs). Shard count is
-      // semantically invisible — output is bit-identical for any value —
-      // so clamping to N never changes a result.
+      // schedule empty per-shard jobs every phase (`--set shards=4096`
+      // against N=8). Shard count is semantically invisible — output is
+      // bit-identical for any value — so clamping to N never changes a
+      // result.
       shards_(std::max(1u, std::min(shards, config.nodes))),
       combine_scratch_(shards_) {}
 
@@ -305,8 +305,8 @@ void IntraRepSimulation::newscast_round(std::uint32_t cycle,
   // chunk boundaries cannot influence any merge result. Because of that
   // invariance the chunk count follows the *worker* count, not the shard
   // count: each MergeBuffers carries one dedup byte per registered id,
-  // and sizing them by GOSSIP_SHARDS (up to 4096) would be pure memory
-  // waste when only pool_->threads() jobs ever run at once.
+  // and sizing them by the shard count would be pure memory waste when
+  // only pool_->threads() jobs ever run at once.
   const std::size_t chunks =
       std::min<std::size_t>(shards_, std::max(1u, pool_->threads()));
   if (merge_buffers_.size() < chunks) merge_buffers_.resize(chunks);

@@ -41,8 +41,8 @@
 // Determinism: every random draw is keyed by (seed, cycle, node id,
 // phase/round), never by shard or thread, the match scans in (key, id)
 // order, and every cross-shard statistics reduction is a fixed-shape
-// tree — so the output is bit-identical for any GOSSIP_SHARDS ×
-// GOSSIP_THREADS combination (golden-tested for 1/2/8 shards in
+// tree — so the output is bit-identical for any shards ×
+// threads combination (golden-tested for 1/2/8 shards in
 // tests/determinism_test.cpp and tests/intra_rep_workloads_test.cpp),
 // including degenerate geometries (shards > N, shards emptied by a mass
 // crash). The match's sort and scan are serial O(N); everything else
@@ -109,7 +109,7 @@ struct IntraRepPhaseProfile {
 /// (both are a SimulationCore).
 class IntraRepSimulation final : public SimulationCore {
 public:
-  /// `shards` is the domain-decomposition width (GOSSIP_SHARDS); the
+  /// `shards` is the domain-decomposition width (the spec's `shards`); the
   /// runner passed to run() supplies the worker threads. Degenerate
   /// geometries (shards > nodes) are legal — empty shards idle.
   /// `bootstrap`, when set, runs the NEWSCAST bootstrap's per-node pass

@@ -2,27 +2,12 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
 
 namespace gossip::experiment {
 
 unsigned runner_threads() {
-  // Strict: GOSSIP_THREADS=0 or a typo must stop the run, not silently
-  // fall back to the hardware default.
-  const auto configured = env_u64_positive("GOSSIP_THREADS", 0);
-  if (configured > 0) {
-    return static_cast<unsigned>(std::min<std::uint64_t>(configured, 4096));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-unsigned runner_shards() {
-  const auto configured = env_u64_positive("GOSSIP_SHARDS", 0);
-  if (configured > 0) {
-    return static_cast<unsigned>(std::min<std::uint64_t>(configured, 4096));
-  }
-  return runner_threads();
+  return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
 }
 
 std::vector<std::uint64_t> split_seeds(std::uint64_t base, std::size_t count) {

@@ -14,8 +14,8 @@
 // The workers are long-lived and joinable; the unit of work is one job
 // (a whole repetition, or one shard of an intra-rep phase).
 //
-// Worker count resolution, in priority order:
-//   explicit constructor argument > GOSSIP_THREADS env > hardware cores.
+// Worker count: the explicit constructor argument, else the hardware
+// cores (runner_threads()).
 #pragma once
 
 #include <atomic>
@@ -32,16 +32,13 @@
 
 namespace gossip::experiment {
 
-/// Effective worker count for parallel experiments: GOSSIP_THREADS if
-/// set, otherwise the hardware concurrency; always at least 1.
-unsigned runner_threads();
+/// The most OS threads one run may start: validate()'s bound on a
+/// spec's `threads` and `runtime.workers`, and runner_threads()'s cap.
+inline constexpr unsigned kMaxThreads = 256;
 
-/// Domain-decomposition width for the intra-rep mode (IntraRepSimulation):
-/// GOSSIP_SHARDS if set, otherwise runner_threads(). Shards are the unit
-/// nodes are partitioned by *within* one repetition; unlike
-/// GOSSIP_THREADS, the shard count never changes any result — it only
-/// bounds how much intra-rep parallelism the runner can exploit.
-unsigned runner_shards();
+/// Default worker count for parallel experiments: the hardware
+/// concurrency, clamped to [1, kMaxThreads].
+unsigned runner_threads();
 
 /// `count` independent per-repetition seeds derived from `base` exactly
 /// as Rng::split() derives child generators: child i's seed is

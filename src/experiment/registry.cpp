@@ -1155,11 +1155,6 @@ const ScenarioDef* ScenarioRegistry::find(const std::string& name) const {
   return nullptr;
 }
 
-Scale scenario_scale(const ScenarioInfo& info) {
-  return bench_scale(info.def_nodes, info.def_reps, info.paper_nodes,
-                     info.paper_reps);
-}
-
 ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
                             const EngineOptions& options) {
   const std::vector<ScenarioSpec> specs = def.build(scale);
@@ -1172,10 +1167,11 @@ ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
                         std::move(results)};
 }
 
-std::string scale_note(const Scale& s, const std::string& paper_setup) {
+std::string scale_note(const Scale& s, const std::string& paper_setup,
+                       unsigned threads) {
   std::ostringstream os;
   os << "N=" << s.nodes << ", reps=" << s.reps << ", seed=" << s.seed
-     << ", threads<=" << runner_threads()
+     << ", threads<=" << threads
      << (s.full ? " [paper scale]" : " [scaled default]")
      << " | paper: " << paper_setup;
   return os.str();

@@ -67,14 +67,13 @@ private:
   std::vector<ScenarioDef> defs_;
 };
 
-/// Env-resolved scale for a scenario (strict GOSSIP_FULL/N/REPS/SEED).
-Scale scenario_scale(const ScenarioInfo& info);
-
 /// Builds, runs (through one Engine) and folds a scenario.
 ScenarioOutput run_scenario(const ScenarioDef& def, const Scale& scale,
                             const EngineOptions& options = {});
 
-/// The banner scale string ("N=…, reps=…, seed=…, threads<=…").
-std::string scale_note(const Scale& s, const std::string& paper_setup);
+/// The banner scale string ("N=…, reps=…, seed=…, threads<=…"), where
+/// `threads` is the worker count in force.
+std::string scale_note(const Scale& s, const std::string& paper_setup,
+                       unsigned threads);
 
 }  // namespace gossip::experiment

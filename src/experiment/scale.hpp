@@ -1,17 +1,13 @@
-// Benchmark scaling knobs.
+// Benchmark scaling.
 //
 // The paper's experiments run at N = 10⁵–10⁶ with 50–100 repetitions;
-// that is minutes-to-hours per figure. Every bench binary therefore has a
-// scaled-down default (documented in EXPERIMENTS.md) and honors:
-//
-//   GOSSIP_FULL=1   run at the paper's scale
-//   GOSSIP_N=…      override the network size
-//   GOSSIP_REPS=…   override the repetition count
-//   GOSSIP_SEED=…   override the base seed
+// that is minutes-to-hours per figure. Every registered scenario
+// therefore has a scaled-down default (documented in EXPERIMENTS.md);
+// gossip_run's `--set full=1` selects the paper's numbers, and
+// `--set nodes|reps|seed` override them.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 namespace gossip::experiment {
 
@@ -22,13 +18,14 @@ struct Scale {
   bool full;
 };
 
-/// Resolves the effective scale from the environment. `def_*` are the
-/// scaled defaults, `paper_*` what the paper used. `full_override`,
-/// when set, replaces the GOSSIP_FULL resolution (the CLI's
-/// `--set full=…`) — it must win *before* nodes/reps resolve, so a
-/// full-scale request actually selects the paper_* numbers.
-Scale bench_scale(std::uint32_t def_nodes, std::uint32_t def_reps,
-                  std::uint32_t paper_nodes, std::uint32_t paper_reps,
-                  std::optional<bool> full_override = std::nullopt);
+/// The scale a scenario starts from: `paper_*` (what the paper used)
+/// when `full`, else the scaled defaults `def_*`; the base seed is
+/// always 0x5eed.
+inline Scale bench_scale(std::uint32_t def_nodes, std::uint32_t def_reps,
+                         std::uint32_t paper_nodes, std::uint32_t paper_reps,
+                         bool full = false) {
+  return Scale{full ? paper_nodes : def_nodes, full ? paper_reps : def_reps,
+               0x5eedULL, full};
+}
 
 }  // namespace gossip::experiment

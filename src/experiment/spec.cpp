@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
 #include "common/json.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "experiment/spec_fields.hpp"
 
 namespace gossip::experiment {
@@ -555,6 +557,17 @@ std::uint64_t get_u64(const json::Value& v, const char* field) {
   }
 }
 
+// U32 and UNS fields: a value past 2^32 - 1 fails, never wraps.
+static_assert(sizeof(unsigned) == sizeof(std::uint32_t));
+std::uint32_t get_u32(const json::Value& v, const char* field) {
+  const std::uint64_t u = get_u64(v, field);
+  if (u > std::numeric_limits<std::uint32_t>::max()) {
+    throw SpecError(std::string("spec: ") + field +
+                    " must be <= 4294967295, got " + std::to_string(u));
+  }
+  return static_cast<std::uint32_t>(u);
+}
+
 double get_double(const json::Value& v, const char* field) {
   try {
     return v.as_double();
@@ -582,11 +595,9 @@ bool get_bool(const json::Value& v, const char* field) {
 // GOSSIP_PARSE_<tag>: assignment from a found json::Value pointer `gv`;
 // `ctx` is the dotted path that SpecError messages name.
 #define GOSSIP_PARSE_STR(lhs, ctx, extra) lhs = get_string(*gv, ctx)
-#define GOSSIP_PARSE_U32(lhs, ctx, extra) \
-  lhs = static_cast<std::uint32_t>(get_u64(*gv, ctx))
+#define GOSSIP_PARSE_U32(lhs, ctx, extra) lhs = get_u32(*gv, ctx)
 #define GOSSIP_PARSE_U64(lhs, ctx, extra) lhs = get_u64(*gv, ctx)
-#define GOSSIP_PARSE_UNS(lhs, ctx, extra) \
-  lhs = static_cast<unsigned>(get_u64(*gv, ctx))
+#define GOSSIP_PARSE_UNS(lhs, ctx, extra) lhs = get_u32(*gv, ctx)
 #define GOSSIP_PARSE_SIZE(lhs, ctx, extra) \
   lhs = static_cast<std::size_t>(get_u64(*gv, ctx))
 #define GOSSIP_PARSE_DBL(lhs, ctx, extra) lhs = get_double(*gv, ctx)
@@ -1092,9 +1103,9 @@ void validate_fields(const ScenarioSpec& spec) {
              to_string(spec.failure.kind) + "'");
     }
     const RuntimeSpec& r = spec.runtime;
-    if (r.workers > 256) {
-      fail("runtime.workers must be <= 256, got " +
-           std::to_string(r.workers));
+    if (r.workers > kMaxThreads) {
+      fail("runtime.workers must be <= " + std::to_string(kMaxThreads) +
+           ", got " + std::to_string(r.workers));
     }
     if (r.wheel_slots < 1 || r.wheel_slots > 1024) {
       fail("runtime.wheel_slots must be in [1,1024], got " +
@@ -1182,6 +1193,12 @@ void validate_fields(const ScenarioSpec& spec) {
       spec.driver != DriverKind::kCycle) {
     fail("engine 'intra_rep' requires driver 'cycle', got driver '" +
          to_string(spec.driver) + "'");
+  }
+  // The cycle engines start up to `threads` pool threads, and the
+  // runtime as many executor workers when runtime.workers is 0.
+  if (spec.threads > kMaxThreads) {
+    fail("threads must be <= " + std::to_string(kMaxThreads) + ", got " +
+         std::to_string(spec.threads));
   }
   if (spec.match_rounds < 1 || spec.match_rounds > 16) {
     fail("match_rounds must be in [1,16], got " +
@@ -1275,6 +1292,16 @@ std::uint64_t parse_u64_field(const std::string& field,
     throw SpecError("spec: --set " + field +
                     " expects an unsigned integer, got '" + value + "'");
   }
+}
+
+std::uint32_t parse_u32_field(const std::string& field,
+                              const std::string& value) {
+  const std::uint64_t v = parse_u64_field(field, value);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw SpecError("spec: --set " + field +
+                    " must be <= 4294967295, got '" + value + "'");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 namespace {
@@ -1418,11 +1445,9 @@ void apply_override(ScenarioSpec& spec, const std::string& key,
 // GOSSIP_SETVAL_<tag>: parse `value` into one settable member, with the
 // --set key as the error-message field name.
 #define GOSSIP_SETVAL_STR(lhs, extra, skey) lhs = value
-#define GOSSIP_SETVAL_U32(lhs, extra, skey) \
-  lhs = static_cast<std::uint32_t>(parse_u64_field(skey, value))
+#define GOSSIP_SETVAL_U32(lhs, extra, skey) lhs = parse_u32_field(skey, value)
 #define GOSSIP_SETVAL_U64(lhs, extra, skey) lhs = parse_u64_field(skey, value)
-#define GOSSIP_SETVAL_UNS(lhs, extra, skey) \
-  lhs = static_cast<unsigned>(parse_u64_field(skey, value))
+#define GOSSIP_SETVAL_UNS(lhs, extra, skey) lhs = parse_u32_field(skey, value)
 #define GOSSIP_SETVAL_DBL(lhs, extra, skey) lhs = parse_set_double(skey, value)
 #define GOSSIP_SETVAL_BOOL(lhs, extra, skey) lhs = parse_set_bool(skey, value)
 #define GOSSIP_SETVAL_ENUM(lhs, extra, skey) lhs = value_of(extra, value, skey)

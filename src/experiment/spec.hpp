@@ -223,8 +223,8 @@ struct ScenarioSpec {
   RuntimeSpec runtime;  ///< deployment-runtime knobs (driver 'runtime')
 
   EngineKind engine = EngineKind::kAuto;
-  unsigned threads = 0;  ///< 0 = resolve GOSSIP_THREADS / hardware
-  unsigned shards = 0;   ///< 0 = resolve GOSSIP_SHARDS
+  unsigned threads = 0;  ///< 0 = hardware (runner_threads()); <= 256
+  unsigned shards = 0;   ///< 0 = hardware (runner_threads())
   /// Matched propose/match/apply rounds per cycle in the intra-rep
   /// engine (1..16). One round leaves a per-cycle convergence factor of
   /// ≈ 0.55 on the AVERAGE-peak workload; the factor compounds per
@@ -334,6 +334,11 @@ EngineKind engine_kind_from_string(const std::string& name);
 /// Parses a full-string unsigned integer (base prefix 0x accepted);
 /// throws SpecError naming `field` on anything else.
 std::uint64_t parse_u64_field(const std::string& field,
+                              const std::string& value);
+
+/// parse_u64_field for a 32-bit field: a value past 2^32 - 1 throws a
+/// SpecError naming `field` instead of wrapping.
+std::uint32_t parse_u32_field(const std::string& field,
                               const std::string& value);
 
 /// The closest entry of `valid` to `key` by edit distance, or "" when

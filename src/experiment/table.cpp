@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
-#include "common/env.hpp"
 #include "common/require.hpp"
 
 namespace gossip::experiment {
@@ -80,15 +78,6 @@ void Table::write_csv(std::ostream& os) const {
   };
   write_row(headers_);
   for (const auto& row : rows_) write_row(row);
-}
-
-bool Table::maybe_write_csv_file(const std::string& name) const {
-  const auto dir = env_string("GOSSIP_CSV_DIR");
-  if (!dir) return false;
-  std::ofstream out(*dir + "/" + name + ".csv");
-  if (!out) return false;
-  write_csv(out);
-  return true;
 }
 
 void print_banner(std::ostream& os, const std::string& figure,

@@ -1,6 +1,6 @@
-// Aligned-column output for the benchmark harness: every fig* binary
-// prints the series the paper plots as one table, optionally mirrored to
-// CSV (GOSSIP_CSV_DIR) for external plotting.
+// Aligned-column output for the benchmark harness: every scenario
+// prints the series the paper plots as one table, or as CSV
+// (`gossip_run --format csv`) for external plotting.
 #pragma once
 
 #include <cstdint>
@@ -34,18 +34,14 @@ public:
   /// Writes RFC-4180-ish CSV (no quoting needed for our cells).
   void write_csv(std::ostream& os) const;
 
-  /// If GOSSIP_CSV_DIR is set, writes `<dir>/<name>.csv` and returns
-  /// true; otherwise does nothing.
-  bool maybe_write_csv_file(const std::string& name) const;
-
 private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
 
 /// Standard bench banner: figure id and description, then one indented
-/// line per note (the scale, and for registered scenarios the GOSSIP_*
-/// knobs that change it).
+/// line per note (the scale, and for registered scenarios the `--set`
+/// keys that change it).
 void print_banner(std::ostream& os, const std::string& figure,
                   const std::string& description,
                   const std::vector<std::string>& notes);

@@ -22,7 +22,6 @@ World::World(WorldConfig config)
       std::make_unique<net::UniformLatency>(config_.latency_lo,
                                             config_.latency_hi),
       config_.p_loss, rng_.split());
-  network_->attach_trace(&trace_);
 
   nodes_.reserve(config_.nodes);
   rngs_.reserve(config_.nodes);

@@ -15,7 +15,6 @@
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
-#include "net/trace.hpp"
 #include "proto/node.hpp"
 #include "sim/event_loop.hpp"
 #include "stats/summary.hpp"
@@ -51,7 +50,6 @@ public:
 
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
   [[nodiscard]] net::Network<Message>& network() { return *network_; }
-  [[nodiscard]] net::TraceLog& trace() { return trace_; }
 
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(nodes_.size());
@@ -90,7 +88,6 @@ private:
   WorldConfig config_;
   Rng rng_;
   sim::EventLoop loop_;
-  net::TraceLog trace_;
   std::unique_ptr<net::Network<Message>> network_;
   std::vector<Node> nodes_;
   std::vector<Rng> rngs_;  ///< per node: phase and peer draws

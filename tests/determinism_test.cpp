@@ -290,7 +290,7 @@ TEST(Population, KillManyIsStableAndChunkCountInvariant) {
 // The domain-decomposed engine has its own pinned trajectory (its
 // matched-cycle model is deliberately not bit-comparable with the serial
 // driver), and that trajectory must be bit-identical for every
-// GOSSIP_SHARDS × thread-count combination.
+// shard × thread-count combination.
 
 TEST(IntraRepDeterminism, GoldenValuesAndShardCountInvariance) {
   ScenarioSpec spec = ScenarioSpec::average_peak("intra", 64, 10)

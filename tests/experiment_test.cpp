@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -465,36 +463,20 @@ TEST(Physics, CrashFreeRunsHaveNoMuVariance) {
 
 // ----------------------------------------------------------- harness aux
 
-TEST(Scale, DefaultsWithoutEnv) {
-  ::unsetenv("GOSSIP_FULL");
-  ::unsetenv("GOSSIP_N");
-  ::unsetenv("GOSSIP_REPS");
-  ::unsetenv("GOSSIP_SEED");
+TEST(Scale, ScaledDefaults) {
   const Scale s = bench_scale(1000, 10, 100000, 50);
   EXPECT_EQ(s.nodes, 1000u);
   EXPECT_EQ(s.reps, 10u);
+  EXPECT_EQ(s.seed, 0x5eedu);
   EXPECT_FALSE(s.full);
 }
 
-TEST(Scale, FullSwitchesToPaperScale) {
-  ::setenv("GOSSIP_FULL", "1", 1);
-  const Scale s = bench_scale(1000, 10, 100000, 50);
+TEST(Scale, FullSelectsPaperScale) {
+  const Scale s = bench_scale(1000, 10, 100000, 50, /*full=*/true);
   EXPECT_EQ(s.nodes, 100000u);
   EXPECT_EQ(s.reps, 50u);
+  EXPECT_EQ(s.seed, 0x5eedu);
   EXPECT_TRUE(s.full);
-  ::unsetenv("GOSSIP_FULL");
-}
-
-TEST(Scale, ExplicitOverridesWin) {
-  ::setenv("GOSSIP_FULL", "1", 1);
-  ::setenv("GOSSIP_N", "777", 1);
-  ::setenv("GOSSIP_REPS", "3", 1);
-  const Scale s = bench_scale(1000, 10, 100000, 50);
-  EXPECT_EQ(s.nodes, 777u);
-  EXPECT_EQ(s.reps, 3u);
-  ::unsetenv("GOSSIP_FULL");
-  ::unsetenv("GOSSIP_N");
-  ::unsetenv("GOSSIP_REPS");
 }
 
 TEST(TableOutput, AlignedPrintAndCsv) {
@@ -514,22 +496,6 @@ TEST(TableOutput, AlignedPrintAndCsv) {
 TEST(TableOutput, RowWidthGuard) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), require_error);
-}
-
-TEST(TableOutput, CsvFileHonorsEnvDir) {
-  Table t({"k", "v"});
-  t.add_row({"1", "2"});
-  ::unsetenv("GOSSIP_CSV_DIR");
-  EXPECT_FALSE(t.maybe_write_csv_file("gossip_test_table"));
-  ::setenv("GOSSIP_CSV_DIR", "/tmp", 1);
-  EXPECT_TRUE(t.maybe_write_csv_file("gossip_test_table"));
-  std::ifstream in("/tmp/gossip_test_table.csv");
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k,v");
-  ::unsetenv("GOSSIP_CSV_DIR");
-  std::remove("/tmp/gossip_test_table.csv");
 }
 
 TEST(RepSeed, StableAndSpread) {

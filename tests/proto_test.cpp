@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "common/require.hpp"
+#include "net/trace.hpp"
 #include "proto/node.hpp"
 #include "proto/world.hpp"
 #include "stats/running_stats.hpp"
@@ -348,9 +349,11 @@ TEST(ProtoWorld, GeometricMeanConverges) {
 TEST(ProtoWorld, DeterministicBySeed) {
   const auto run_once = [] {
     World w(small_world(150, 51));
+    net::TraceLog trace;
+    w.network().attach_trace(&trace);
     w.start();
     w.run_cycles(12);
-    return w.trace().digest();
+    return trace.digest();
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -2,7 +2,7 @@
 // bench binary is a registered named scenario, and this suite pins the
 // series each one emits to CSV goldens captured from the ORIGINAL
 // binaries (commit 4b82bd6, before the ScenarioSpec/Engine redesign) at
-// GOSSIP_N=400 GOSSIP_REPS=3 GOSSIP_SEED=0x5eed — the bit-identical
+// N=400, reps=3, seed 0x5eed — the bit-identical
 // reproduction contract of the declarative API, for all 16 scenarios.
 #include <gtest/gtest.h>
 

@@ -1,11 +1,10 @@
 // The declarative ScenarioSpec API: JSON round-trip identity on every
-// registered scenario, golden validation-error messages, strict
-// GOSSIP_THREADS / GOSSIP_SHARDS / GOSSIP_FULL knob parsing, --set
-// overrides, spec hashing, and the underlying JSON module's exactness
-// guarantees (doubles round-trip bit-for-bit, u64 seeds survive).
+// registered scenario, golden validation-error messages, --set
+// overrides, 32-bit range and thread-bound checks, spec hashing, and the
+// underlying JSON module's exactness guarantees (doubles round-trip
+// bit-for-bit, u64 seeds survive).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/json.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/parallel_runner.hpp"
@@ -1328,95 +1326,75 @@ TEST(SpecHash, StableAndSensitive) {
   EXPECT_NE(spec_hash(a), spec_hash(b));
 }
 
-// -------------------------------------------------- strict env knobs
+// ------------------------------------- 32-bit fields and thread bound
 
-class EnvKnobTest : public ::testing::Test {
-protected:
-  void TearDown() override {
-    ::unsetenv("GOSSIP_THREADS");
-    ::unsetenv("GOSSIP_SHARDS");
-    ::unsetenv("GOSSIP_FULL");
-    ::unsetenv("GOSSIP_N");
-    ::unsetenv("GOSSIP_REPS");
-    ::unsetenv("GOSSIP_SEED");
-  }
-};
+TEST(SpecValidation, ValuesPast32BitsFailInsteadOfWrapping) {
+  // Every path that narrows a u64 into a U32 or UNS field: the JSON
+  // parse, the spec-file --set dispatch, and parse_u32_field, which
+  // gossip_run's scenario --set nodes|reps|threads|shards also use.
+  const auto expect_error = [](const auto& call, const std::string& want) {
+    try {
+      call();
+      ADD_FAILURE() << "expected: " << want;
+    } catch (const SpecError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  };
+  expect_error(
+      [] {
+        (void)spec_from_json(
+            R"({"name":"a","nodes":4294967298,"cycles":4294967297})");
+      },
+      "spec: nodes must be <= 4294967295, got 4294967298");
+  expect_error(
+      [] { (void)spec_from_json(R"({"name":"a","threads":4294967296})"); },
+      "spec: threads must be <= 4294967295, got 4294967296");
+  ScenarioSpec spec;
+  expect_error([&] { apply_override(spec, "reps", "4294967297"); },
+               "spec: --set reps must be <= 4294967295, got '4294967297'");
+  expect_error([&] { apply_override(spec, "shards", "0x100000000"); },
+               "spec: --set shards must be <= 4294967295, got "
+               "'0x100000000'");
+  expect_error([] { (void)parse_u32_field("nodes", "18446744073709551615"); },
+               "spec: --set nodes must be <= 4294967295, got "
+               "'18446744073709551615'");
+  EXPECT_EQ(parse_u32_field("nodes", "4294967295"), 4294967295u);
+  EXPECT_EQ(spec, ScenarioSpec{});  // a rejected --set assigns nothing
+}
 
-TEST_F(EnvKnobTest, MalformedThreadsIsAOneLineError) {
-  ::setenv("GOSSIP_THREADS", "1O", 1);  // the typo that motivated this
+TEST(SpecValidation, ThreadsAreBoundLikeRuntimeWorkers) {
+  // Checked through validation only: an oversized value would start
+  // that many OS threads if it ever ran.
+  ScenarioSpec spec = ScenarioSpec::average_peak("x", 100, 5);
+  spec.threads = kMaxThreads;
+  EXPECT_NO_THROW(validate(spec));
+  spec.threads = kMaxThreads + 1;
   try {
-    (void)runner_threads();
-    FAIL() << "expected EnvError";
-  } catch (const EnvError& e) {
-    EXPECT_STREQ(e.what(),
-                 "GOSSIP_THREADS: expected a positive integer, got '1O'");
+    validate(spec);
+    ADD_FAILURE() << "threads above the bound validated";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "spec: threads must be <= 256, got 257");
   }
-}
+  EXPECT_THROW((void)spec_from_json(
+                   R"({"name":"a","driver":"runtime","reps":100000,
+                       "threads":100000})"),
+               SpecError);
 
-TEST_F(EnvKnobTest, ZeroThreadsRejected) {
-  ::setenv("GOSSIP_THREADS", "0", 1);
-  EXPECT_THROW((void)runner_threads(), EnvError);
-}
-
-TEST_F(EnvKnobTest, ValidThreadsStillResolve) {
-  ::setenv("GOSSIP_THREADS", "6", 1);
-  EXPECT_EQ(runner_threads(), 6u);
-}
-
-TEST_F(EnvKnobTest, MalformedShardsIsAOneLineError) {
-  ::setenv("GOSSIP_SHARDS", "-4", 1);
+  // An EngineOptions override (the CLI's --set threads) is validated as
+  // the spec runs, as the Engine does before it starts a pool.
+  spec.threads = 0;
+  EngineOptions options;
+  options.threads = 100000;
   try {
-    (void)runner_shards();
-    FAIL() << "expected EnvError";
-  } catch (const EnvError& e) {
-    EXPECT_STREQ(e.what(),
-                 "GOSSIP_SHARDS: expected a positive integer, got '-4'");
+    validate_as_run(spec, resolve_engine(spec, options));
+    ADD_FAILURE() << "--set threads above the bound validated";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "spec: threads must be <= 256, got 100000");
   }
-}
-
-TEST_F(EnvKnobTest, ZeroShardsRejected) {
-  ::setenv("GOSSIP_SHARDS", "0", 1);
-  EXPECT_THROW((void)runner_shards(), EnvError);
-}
-
-TEST_F(EnvKnobTest, MalformedScaleKnobsAreOneLineErrors) {
-  // The same strictness as THREADS/SHARDS: GOSSIP_N=1O00 must not
-  // quietly simulate a single node.
-  ::setenv("GOSSIP_N", "1O00", 1);
-  EXPECT_THROW((void)bench_scale(100, 2, 1000, 5), EnvError);
-  ::unsetenv("GOSSIP_N");
-  ::setenv("GOSSIP_REPS", "0", 1);
-  EXPECT_THROW((void)bench_scale(100, 2, 1000, 5), EnvError);
-  ::unsetenv("GOSSIP_REPS");
-  ::setenv("GOSSIP_SEED", "5eed", 1);  // hex without 0x is malformed
-  EXPECT_THROW((void)bench_scale(100, 2, 1000, 5), EnvError);
-  ::setenv("GOSSIP_SEED", "0", 1);  // ...but zero is a valid seed
-  EXPECT_EQ(bench_scale(100, 2, 1000, 5).seed, 0u);
-  ::unsetenv("GOSSIP_SEED");
-}
-
-TEST_F(EnvKnobTest, MalformedFullIsAOneLineError) {
-  ::setenv("GOSSIP_FULL", "ture", 1);
-  try {
-    (void)bench_scale(100, 2, 1000, 5);
-    FAIL() << "expected EnvError";
-  } catch (const EnvError& e) {
-    EXPECT_STREQ(
-        e.what(),
-        "GOSSIP_FULL: expected a boolean (1/0/true/false/on/off), got "
-        "'ture'");
-  }
-}
-
-TEST_F(EnvKnobTest, FullAcceptsTheStrictVocabulary) {
-  for (const char* yes : {"1", "true", "on", "YES"}) {
-    ::setenv("GOSSIP_FULL", yes, 1);
-    EXPECT_TRUE(bench_scale(100, 2, 1000, 5).full) << yes;
-  }
-  for (const char* no : {"0", "false", "OFF", "no"}) {
-    ::setenv("GOSSIP_FULL", no, 1);
-    EXPECT_FALSE(bench_scale(100, 2, 1000, 5).full) << no;
-  }
+  // The hardware default never exceeds the bound.
+  EXPECT_GE(runner_threads(), 1u);
+  EXPECT_LE(runner_threads(), kMaxThreads);
+  EXPECT_NO_THROW(validate_as_run(spec, resolve_engine(spec)));
 }
 
 // ------------------------------------------------------------- raw JSON

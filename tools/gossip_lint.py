@@ -21,6 +21,8 @@ corrupted golden, so this analyzer machine-checks them on every commit:
   bare-mutex-lock       no manual mutex .lock()/.unlock() — RAII guards
                         (lock_guard/scoped_lock/unique_lock) only
   volatile-sync         volatile is not a synchronization primitive
+  banned-env            no environment reads or writes: a run is a
+                        function of its command line
 
 Dependency-free (python3 stdlib only). A lightweight tokenizer strips
 comments and string literals first, so prose mentioning rand() never
@@ -429,6 +431,20 @@ VOLATILE = re.compile(r"\bvolatile\b")
       "explicit memory_order")
 def check_volatile_sync(ctx: FileCtx) -> list[tuple[int, str]]:
     return _matches(ctx, VOLATILE)
+
+
+BANNED_ENV = re.compile(
+    r"(?:std::)?\b(?:secure_getenv|getenv|setenv|unsetenv|putenv)\s*\(|"
+    r"\benviron\b")
+
+
+@rule("banned-env",
+      "environment variable access (a hidden input the command line "
+      "does not show)",
+      "take the value from the ScenarioSpec or a gossip_run --set key; "
+      "a result must be a pure function of the command line")
+def check_banned_env(ctx: FileCtx) -> list[tuple[int, str]]:
+    return _matches(ctx, BANNED_ENV)
 
 
 # ------------------------------------------------------------ suppressions
