@@ -34,17 +34,6 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleRun);
 
-void BM_EventLoopTimerCancel(benchmark::State& state) {
-  // The protocol's hot pattern: arm a timeout, cancel it on reply.
-  sim::EventLoop loop;
-  for (auto _ : state) {
-    const auto id = loop.schedule_after(1000, [] {});
-    benchmark::DoNotOptimize(loop.cancel(id));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventLoopTimerCancel);
-
 void BM_ProtoWorldCycle(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   proto::WorldConfig cfg;

@@ -51,10 +51,6 @@ public:
   Value(Object o) : kind_(Kind::kObject), object_(std::move(o)) {}  // NOLINT
 
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
 
   // Typed accessors; throw Error naming the actual kind on mismatch.
   [[nodiscard]] bool as_bool() const;

@@ -78,7 +78,7 @@ json::Value provenance_value(const Provenance& p) {
 /// values serialize as strings.
 json::Value number_or_string(double v) {
   if (std::isfinite(v)) return json::Value(v);
-  return json::Value(fmt_estimate(v));
+  return json::Value(fmt(v));
 }
 
 json::Value summary_value(const stats::Summary& s) {
@@ -171,12 +171,6 @@ json::Value table_value(const Table& table) {
 
 }  // namespace
 
-std::string fmt_estimate(double value, int precision) {
-  // fmt() itself emits the stable nan/inf/-inf tokens now; kept as the
-  // documented estimate-cell entry point.
-  return fmt(value, precision);
-}
-
 Table generic_table(const ScenarioResult& result) {
   const bool count = result.spec.aggregate == AggregateKind::kCount ||
                      result.spec.driver != DriverKind::kCycle;
@@ -203,8 +197,8 @@ Table generic_table(const ScenarioResult& result) {
       }
       participants = rep.participants;
     }
-    table.add_row({fmt(point.point.value, 4), fmt_estimate(means.mean()),
-                   fmt_estimate(means.min()), fmt_estimate(means.max()),
+    table.add_row({fmt(point.point.value, 4), fmt(means.mean()),
+                   fmt(means.min()), fmt(means.max()),
                    factors.count() > 0 ? fmt(factors.mean()) : "-",
                    std::to_string(participants)});
   }
@@ -227,21 +221,16 @@ ServiceSummary summarize_service(const ScenarioSpec& spec,
                                  const PointResult& point) {
   ServiceSummary s;
   stats::RunningStats err;
-  double elapsed = 0.0;
   for (const RunResult& rep : point.reps) {
     if (!rep.tracking_error.empty()) err.add(rep.tracking_error.back());
     s.p99_staleness =
         std::max(s.p99_staleness, staleness_percentile(rep.staleness, 99.0));
     s.epochs_published += rep.epochs_published;
     s.queries += rep.staleness.size();
-    elapsed += rep.elapsed_seconds;
   }
   if (err.count() > 0) s.tracking_error = err.mean();
   if (spec.service.staleness_bound > 0) {
     s.stale_ok = s.p99_staleness <= spec.service.staleness_bound;
-  }
-  if (elapsed > 0.0) {
-    s.queries_per_sec = static_cast<double>(s.queries) / elapsed;
   }
   return s;
 }

@@ -42,13 +42,6 @@ struct Provenance {
 Provenance make_provenance(const std::vector<ScenarioResult>& results,
                            bool full_scale);
 
-/// Non-finite-safe cell formatting for estimate tables: finite values
-/// via fmt(value, precision), otherwise "inf"/"-inf"/"nan". (The
-/// registry's historical fmt_size intentionally differs — it labels
-/// every non-finite value "inf" because the pinned pre-redesign CSVs
-/// do; new surfaces should use this one.)
-std::string fmt_estimate(double value, int precision = 4);
-
 /// Generic series for ad-hoc `--spec file.json` runs: one row per sweep
 /// point — estimate mean/min/max over reps, mean convergence factor,
 /// surviving participants.
@@ -60,16 +53,14 @@ std::uint32_t staleness_percentile(const std::vector<std::uint32_t>& samples,
                                    double pct);
 
 /// Cross-rep roll-up of one sweep point's continuous-service results.
-/// Deterministic fields (tracking error, p99 staleness, the bound check)
-/// belong in pinned tables; queries_per_sec depends on wall clock and
-/// must stay in trailers / perf reports.
+/// Every field is a pure function of the spec, so tables and trailers
+/// that print them are reproducible.
 struct ServiceSummary {
   double tracking_error = 0.0;        ///< mean over reps of final |est − truth|
   std::uint32_t p99_staleness = 0;    ///< max over reps of per-rep p99 age
   bool stale_ok = true;               ///< p99 within spec.service.staleness_bound
   std::uint64_t epochs_published = 0; ///< total reports published over reps
   std::uint64_t queries = 0;          ///< total snapshot queries served
-  double queries_per_sec = 0.0;       ///< queries / total elapsed wall time
 };
 
 /// Summarizes the service surface of one executed sweep point against the

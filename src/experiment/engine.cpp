@@ -87,10 +87,9 @@ void init_values(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
   sim.init_scalar([&initial](NodeId id) { return initial[id.value()]; });
 }
 
-/// Workload init shared by the serial and intra-rep cycle drivers (both
-/// expose the same init_count_leaders/init_scalar surface).
-template <typename Sim>
-void init_workload(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
+/// Workload init shared by the serial and intra-rep cycle drivers.
+void init_workload(SimulationCore& sim, const ScenarioSpec& spec,
+                   std::uint64_t seed) {
   if (spec.aggregate == AggregateKind::kCount) {
     sim.init_count_leaders();
   } else {
@@ -101,8 +100,7 @@ void init_workload(Sim& sim, const ScenarioSpec& spec, std::uint64_t seed) {
 /// Result shaping shared by both cycle drivers: per-cycle stats +
 /// tracker always; COUNT additionally summarizes the robust size
 /// estimates and counts participants off them.
-template <typename Sim>
-RunResult finish_run(const Sim& sim, const ScenarioSpec& spec) {
+RunResult finish_run(const SimulationCore& sim, const ScenarioSpec& spec) {
   RunResult out;
   out.per_cycle = sim.cycle_stats();
   out.tracker = sim.tracker();
@@ -123,47 +121,36 @@ RunResult finish_run(const Sim& sim, const ScenarioSpec& spec) {
   return out;
 }
 
+/// One cycle-driver repetition on the serial or the intra-rep engine,
+/// which differ only in the simulation built and how it runs. `pool` is
+/// the intra-rep engine's.
 RunResult exec_cycle(const ScenarioSpec& spec, std::uint64_t seed,
-                     const failure::FailurePlan* plan_override) {
-  const auto spec_plan = spec.failure.build(spec.nodes);
-  const failure::FailurePlan& plan =
-      plan_override != nullptr ? *plan_override : *spec_plan;
+                     const failure::FailurePlan& plan,
+                     const ResolvedEngine& resolved, ParallelRunner* pool) {
   SimConfig cfg = sim_config_of(spec, plan);
   cfg.stream_seed = seed;  // the engine-invariant drift stream key
-  CycleSimulation sim(cfg, Rng(seed));
-  init_workload(sim, spec, seed);
-  const auto start = std::chrono::steady_clock::now();
-  sim.run(plan);
-  RunResult out = finish_run(sim, spec);
-  out.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return out;
-}
-
-RunResult exec_intra(const ScenarioSpec& spec, std::uint64_t seed,
-                     const failure::FailurePlan* plan_override,
-                     unsigned shards, ParallelRunner& pool) {
-  const auto spec_plan = spec.failure.build(spec.nodes);
-  const failure::FailurePlan& plan =
-      plan_override != nullptr ? *plan_override : *spec_plan;
-  SimConfig cfg = sim_config_of(spec, plan);
-  cfg.stream_seed = seed;  // same key as exec_cycle — cross-engine parity
+  const auto timed = [&spec, seed](SimulationCore& sim, const auto& run) {
+    init_workload(sim, spec, seed);
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    RunResult out = finish_run(sim, spec);
+    out.elapsed_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    return out;
+  };
+  if (resolved.kind != EngineKind::kIntraRep) {
+    CycleSimulation sim(cfg, Rng(seed));
+    return timed(sim, [&] { sim.run(plan); });
+  }
   // The pool idles until run(), so the bootstrap borrows it first.
   const overlay::ParallelFor bootstrap =
-      [&pool](std::size_t count,
-              const std::function<void(std::size_t)>& job) {
-        pool.run(count, job);
+      [pool](std::size_t count,
+             const std::function<void(std::size_t)>& job) {
+        pool->run(count, job);
       };
-  IntraRepSimulation sim(cfg, seed, shards, &bootstrap);
-  init_workload(sim, spec, seed);
-  const auto start = std::chrono::steady_clock::now();
-  sim.run(plan, pool);
-  RunResult out = finish_run(sim, spec);
-  out.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return out;
+  IntraRepSimulation sim(cfg, seed, resolved.shards, &bootstrap);
+  return timed(sim, [&] { sim.run(plan, *pool); });
 }
 
 RunResult exec_event(const ScenarioSpec& spec, std::uint64_t seed) {
@@ -220,8 +207,7 @@ RunResult exec_push_sum(const ScenarioSpec& spec, std::uint64_t seed) {
 }
 
 RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
-                       const failure::FailurePlan* plan_override,
-                       unsigned threads) {
+                       const failure::FailurePlan& plan, unsigned threads) {
   const RuntimeSpec& rt = spec.runtime;
   runtime::ExecutorConfig cfg;
   cfg.nodes = spec.nodes;
@@ -232,11 +218,6 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   cfg.cycle_timeout = std::chrono::milliseconds(rt.timeout_ms);
   cfg.seed = seed;
   cfg.initial = initial_values(spec, seed);
-  const auto spec_plan = spec.failure.build(spec.nodes);
-  const failure::FailurePlan& plan =
-      plan_override != nullptr ? *plan_override : *spec_plan;
-  // Preallocation headroom for the executor's churn path.
-  cfg.max_joins = static_cast<std::uint32_t>(plan.total_joins(spec.cycles));
 
   // The overlay must be identical in every cooperating process, so the
   // static graphs are a pure function of the repetition seed alone. The
@@ -317,6 +298,28 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   return out;
 }
 
+/// One repetition of `spec` on the resolved engine: the one
+/// per-repetition dispatch. `plan_override`, when non-null, replaces the
+/// spec's failure plan; `pool` is the intra-rep engine's (null on the
+/// other engines).
+RunResult exec(const ScenarioSpec& spec, std::uint64_t seed,
+               const failure::FailurePlan* plan_override,
+               const ResolvedEngine& resolved, ParallelRunner* pool) {
+  switch (spec.driver) {
+    case DriverKind::kEvent: return exec_event(spec, seed);
+    case DriverKind::kPushSum: return exec_push_sum(spec, seed);
+    case DriverKind::kRuntime:
+    case DriverKind::kCycle: break;
+  }
+  const auto spec_plan = spec.failure.build(spec.nodes);
+  const failure::FailurePlan& plan =
+      plan_override != nullptr ? *plan_override : *spec_plan;
+  if (spec.driver == DriverKind::kRuntime) {
+    return exec_runtime(spec, seed, plan, resolved.threads);
+  }
+  return exec_cycle(spec, seed, plan, resolved, pool);
+}
+
 }  // namespace
 
 void validate_as_run(ScenarioSpec spec, const ResolvedEngine& resolved) {
@@ -372,25 +375,16 @@ ParallelRunner& Engine::pool_for(unsigned threads, std::size_t max_jobs) {
   return *pool_;
 }
 
+ParallelRunner* Engine::intra_pool(const ResolvedEngine& re) {
+  if (re.kind != EngineKind::kIntraRep) return nullptr;
+  return &pool_for(re.threads, re.shards);
+}
+
 RunResult Engine::run_single(const ScenarioSpec& spec, std::uint64_t raw_seed,
                              const failure::FailurePlan* plan_override) {
   const ResolvedEngine re = resolve_engine(spec, options_);
   validate_as_run(spec, re);
-  switch (spec.driver) {
-    case DriverKind::kEvent:
-      return exec_event(spec, raw_seed);
-    case DriverKind::kPushSum:
-      return exec_push_sum(spec, raw_seed);
-    case DriverKind::kRuntime:
-      return exec_runtime(spec, raw_seed, plan_override, re.threads);
-    case DriverKind::kCycle:
-      break;
-  }
-  if (re.kind == EngineKind::kIntraRep) {
-    return exec_intra(spec, raw_seed, plan_override, re.shards,
-                      pool_for(re.threads, re.shards));
-  }
-  return exec_cycle(spec, raw_seed, plan_override);
+  return exec(spec, raw_seed, plan_override, re, intra_pool(re));
 }
 
 std::vector<RunResult> Engine::run_point(const ScenarioSpec& spec,
@@ -401,32 +395,21 @@ std::vector<RunResult> Engine::run_point(const ScenarioSpec& spec,
   validate_as_run(point_spec, re);
   const std::uint64_t point_id = spec.sweep.points[index].seed_point;
 
-  if (re.kind == EngineKind::kIntraRep) {
+  if (ParallelRunner* pool = intra_pool(re)) {
     // The parallelism lives *inside* each repetition; reps run in order.
-    ParallelRunner& pool =
-        pool_for(std::min(re.threads, re.shards), re.shards);
     std::vector<RunResult> out;
     out.reserve(spec.reps);
     for (std::uint32_t rep = 0; rep < spec.reps; ++rep) {
-      out.push_back(exec_intra(point_spec,
-                               rep_seed(spec.seed, point_id, rep), nullptr,
-                               re.shards, pool));
+      out.push_back(exec(point_spec, rep_seed(spec.seed, point_id, rep),
+                         nullptr, re, pool));
     }
     return out;
   }
 
   const unsigned threads = re.kind == EngineKind::kSerial ? 1 : re.threads;
-  ParallelRunner& pool = pool_for(threads, spec.reps);
-  return pool.map(spec.reps, [&](std::size_t rep) {
-    const std::uint64_t seed = rep_seed(spec.seed, point_id, rep);
-    switch (point_spec.driver) {
-      case DriverKind::kEvent: return exec_event(point_spec, seed);
-      case DriverKind::kPushSum: return exec_push_sum(point_spec, seed);
-      case DriverKind::kRuntime:
-        return exec_runtime(point_spec, seed, nullptr, re.threads);
-      case DriverKind::kCycle: break;
-    }
-    return exec_cycle(point_spec, seed, nullptr);
+  return pool_for(threads, spec.reps).map(spec.reps, [&](std::size_t rep) {
+    return exec(point_spec, rep_seed(spec.seed, point_id, rep), nullptr, re,
+                nullptr);
   });
 }
 

@@ -164,6 +164,8 @@ private:
   [[nodiscard]] ResolvedEngine resolve_point(const ScenarioSpec& spec,
                                              std::size_t index) const;
   ParallelRunner& pool_for(unsigned threads, std::size_t max_jobs);
+  /// The pool an intra-rep repetition runs on; null on the other engines.
+  ParallelRunner* intra_pool(const ResolvedEngine& re);
 
   EngineOptions options_;
   std::unique_ptr<ParallelRunner> pool_;

@@ -65,7 +65,11 @@ IntraRepSimulation::IntraRepSimulation(const SimConfig& config,
       // bit-identical for any value — so clamping to N never changes a
       // result.
       shards_(std::max(1u, std::min(shards, config.nodes))),
-      combine_scratch_(shards_) {}
+      combine_scratch_(shards_),
+      par_([this](std::size_t count,
+                  const std::function<void(std::size_t)>& job) {
+        par_run(count, job);
+      }) {}
 
 void IntraRepSimulation::par_run(
     std::size_t count, const std::function<void(std::size_t)>& job) {
@@ -80,40 +84,14 @@ void IntraRepSimulation::par_run(
           .count();
 }
 
-void IntraRepSimulation::kill_victims() {
-  const overlay::ParallelFor par =
-      [this](std::size_t count, const std::function<void(std::size_t)>& job) {
-        par_run(count, job);
-      };
-  population_.kill_many(victims_, shards_, &par);
-}
-
 std::uint32_t IntraRepSimulation::kill_range(std::uint32_t lo,
                                              std::uint32_t hi,
                                              std::uint32_t max_kills) {
-  // The victim scan is serial and in ascending id order: the victim *set*
-  // (and therefore the stable compaction) is a pure function of the
-  // population state, independent of shards/threads.
-  victims_.clear();
-  const std::uint32_t end = std::min(hi, population_.total());
-  for (std::uint32_t id = lo; id < end && victims_.size() < max_kills;
-       ++id) {
-    if (population_.alive_unchecked(NodeId(id))) victims_.emplace_back(id);
-  }
-  kill_victims();
-  return static_cast<std::uint32_t>(victims_.size());
+  return population_.kill_range_batch(lo, hi, max_kills, shards_, &par_);
 }
 
 void IntraRepSimulation::kill_uniform(std::uint32_t kills) {
-  // One distinct-position draw replaces the serial driver's
-  // draw-kill-draw interleaving, so the whole batch can retire through
-  // the stable parallel compaction in one step.
-  victims_.clear();
-  for (std::uint64_t pos :
-       rng_.sample_distinct(population_.live_count(), kills)) {
-    victims_.push_back(population_.live()[pos]);
-  }
-  kill_victims();
+  population_.kill_uniform_batch(kills, rng_, shards_, &par_);
 }
 
 void IntraRepSimulation::apply_drift(std::uint32_t cycle) {

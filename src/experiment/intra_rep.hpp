@@ -4,8 +4,9 @@
 // map) doesn't help because there is only one repetition.
 //
 // Execution model ("matched" bulk-synchronous cycles):
-//   1. failure events apply at the cycle boundary; batched crashes retire
-//      through Population::kill_many's stable parallel compaction;
+//   1. failure events apply at the cycle boundary; crashes retire in one
+//      batch through Population's batch kills (kill_many's stable
+//      parallel compaction), the runtime executor's kill order too;
 //   2. PROPOSE (parallel over id-space shards, read-only): every live
 //      node draws its exchange partner candidates — plus the exchange's
 //      communication fate and its match priority key — from its own
@@ -118,6 +119,8 @@ public:
   IntraRepSimulation(const SimConfig& config, std::uint64_t seed,
                      unsigned shards,
                      const overlay::ParallelFor* bootstrap = nullptr);
+  IntraRepSimulation(const IntraRepSimulation&) = delete;  // par_ holds this
+  IntraRepSimulation& operator=(const IntraRepSimulation&) = delete;
 
   /// Runs config.cycles matched cycles under `plan`, parallelizing each
   /// phase across `pool`. Call once.
@@ -161,9 +164,6 @@ private:
             static_cast<std::uint32_t>(n * (shard + 1) / shards_)};
   }
 
-  /// Retires victims_ through the stable parallel compaction.
-  void kill_victims();
-
   /// pool_->run with optional phase-profile accounting.
   void par_run(std::size_t count,
                const std::function<void(std::size_t)>& job);
@@ -201,7 +201,6 @@ private:
   std::vector<std::uint64_t> sort_scratch_;  // sort_by_key's second buffer
   std::vector<std::size_t> pair_offsets_;  // per-shard pair prefix sums
   std::vector<std::pair<NodeId, NodeId>> pairs_;
-  std::vector<NodeId> victims_;        // kill batch staging
   /// Per-apply-job robust-combine staging (pairs are disjoint, so
   /// window/estimate writes are race-free; only the scratch is per job).
   std::vector<CombineScratch> combine_scratch_;
@@ -209,6 +208,9 @@ private:
   std::vector<stats::RunningStats> lane_scratch_;  // merge_tree input
   std::vector<stats::RunningStats> val_seg_stats_;  // [segment], values
   std::vector<membership::NewscastNetwork::MergeBuffers> merge_buffers_;
+
+  /// par_run as the Population batch kills' executor seam.
+  const overlay::ParallelFor par_;
 
   ParallelRunner* pool_ = nullptr;  // set for the duration of run()
   IntraRepPhaseProfile* profile_ = nullptr;

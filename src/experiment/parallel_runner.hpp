@@ -1,6 +1,5 @@
 // Parallel experiment engine: a reusable thread pool that fans the
-// independent repetitions (and sweep points) of an experiment across
-// cores.
+// independent repetitions of an experiment across cores.
 //
 // Gossip repetitions are embarrassingly parallel — every rep owns its
 // whole simulation state and draws from its own seed-derived Rng stream —
@@ -79,16 +78,6 @@ public:
     out.reserve(count);
     for (auto& slot : slots) out.push_back(std::move(*slot));
     return out;
-  }
-
-  /// Fans a 2-D sweep: fn(point, rep) for every point in [0, points) and
-  /// rep in [0, reps), all in one batch. Results are indexed
-  /// [point * reps + rep] — the layout every sweep bench folds over.
-  template <typename Fn>
-  auto map_grid(std::size_t points, std::size_t reps, Fn&& fn) {
-    return map(points * reps, [&](std::size_t job) {
-      return fn(job / reps, job % reps);
-    });
   }
 
 private:

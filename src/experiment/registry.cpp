@@ -16,7 +16,8 @@ namespace {
 
 /// "inf"-safe formatting for size estimates that diverged. Labels every
 /// non-finite value "inf" — historically so, and the pinned pre-redesign
-/// CSV goldens depend on it; new surfaces use emit.hpp's fmt_estimate.
+/// CSV goldens depend on it; new surfaces use fmt, which keeps the
+/// nan/inf/-inf distinction.
 std::string fmt_size(double v) {
   if (!std::isfinite(v)) return "inf";
   return fmt(v, 1);
@@ -981,7 +982,6 @@ ScenarioDef make_service_continuous() {
     Table table({"series", "x", "tracking_err", "p99_stale", "stale_ok",
                  "est_err"});
     std::uint64_t queries = 0, epochs = 0;
-    double service_elapsed = 0.0, lane_rate = 0.0;
     std::uint32_t worst_p99 = 0, widest_lanes = 0;
     bool all_ok = true;
     for (const ScenarioResult& series : results) {
@@ -996,7 +996,6 @@ ScenarioDef make_service_continuous() {
             // served answer lags the live estimate by the snapshot age,
             // so this is the error a client actually observes.
             for (const double e : run.served_error) served.add(e);
-            service_elapsed += run.elapsed_seconds;
           }
           queries += sum.queries;
           epochs += sum.epochs_published;
@@ -1011,18 +1010,10 @@ ScenarioDef make_service_continuous() {
           const auto t = static_cast<std::uint32_t>(point.point.value);
           widest_lanes = std::max(widest_lanes, t);
           std::vector<double> means;
-          double elapsed = 0.0;
           for (const RunResult& run : point.reps) {
             if (std::isfinite(run.sizes.mean)) means.push_back(run.sizes.mean);
-            elapsed += run.elapsed_seconds;
           }
           const double n = static_cast<double>(s.nodes);
-          if (elapsed > 0.0) {
-            lane_rate = std::max(
-                lane_rate,
-                static_cast<double>(t) * series.spec.cycles *
-                    static_cast<double>(point.reps.size()) / elapsed);
-          }
           table.add_row({label, std::to_string(t), "-", "-", "-",
                          fmt_sci(std::abs(median_of(means) - n) / n, 2)});
         }
@@ -1030,18 +1021,10 @@ ScenarioDef make_service_continuous() {
     }
     std::ostringstream tr;
     tr << "service: " << queries << " queries over " << epochs
-       << " published epochs";
-    if (service_elapsed > 0.0) {
-      tr << " at " << fmt(static_cast<double>(queries) / service_elapsed, 0)
-         << " queries/s wall";
-    }
-    tr << ", p99 staleness " << worst_p99
+       << " published epochs, p99 staleness " << worst_p99
        << (all_ok ? " within" : " EXCEEDING") << " the spec bound"
-       << "; lanes: " << widest_lanes << " concurrent instances";
-    if (lane_rate > 0.0) {
-      tr << " at " << fmt(lane_rate, 0) << " lane-cycles/s wall";
-    }
-    tr << " | expected: tracking error grows with drift rate x churn; the "
+       << "; lanes: " << widest_lanes << " concurrent instances"
+       << " | expected: tracking error grows with drift rate x churn; the "
           "mid-run step is re-acquired within one epoch; p99 staleness "
           "stays under epoch length + 2";
     return std::make_pair(std::move(table), tr.str());

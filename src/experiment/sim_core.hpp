@@ -10,8 +10,8 @@
 // engine supplies only what truly differs between the two:
 //
 //   * pairing — shuffled sequential sampling vs propose/match;
-//   * kill batching — draw-kill-draw and swap-remove vs
-//     sample_distinct + Population::kill_many's stable compaction;
+//   * kill batching — draw-kill-draw and swap-remove vs Population's
+//     batch kills (kill_many's stable compaction);
 //   * the statistics reduction around the shared lane accumulator
 //     (stats::LaneStats) — one pass over the live list vs 64 fixed
 //     segments folded by merge_tree (their float results differ; both

@@ -132,10 +132,6 @@ ScenarioSpec ScenarioSpec::count(std::string name, std::uint32_t nodes,
   return s;
 }
 
-ScenarioSpec& ScenarioSpec::with_title(std::string t) {
-  title = std::move(t);
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::with_topology(TopologyConfig t) {
   topology = t;
   return *this;
@@ -164,10 +160,6 @@ ScenarioSpec& ScenarioSpec::with_service(ServiceSpec s) {
   service = s;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::with_runtime(RuntimeSpec r) {
-  runtime = r;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::with_init(InitKind k) {
   init = k;
   return *this;
@@ -186,10 +178,6 @@ ScenarioSpec& ScenarioSpec::with_engine(EngineKind k) {
 }
 ScenarioSpec& ScenarioSpec::with_driver(DriverKind d) {
   driver = d;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::with_instances(std::uint32_t t) {
-  instances = t;
   return *this;
 }
 ScenarioSpec& ScenarioSpec::with_match_rounds(std::uint32_t r) {

@@ -244,7 +244,6 @@ struct ScenarioSpec {
   static ScenarioSpec count(std::string name, std::uint32_t nodes,
                             std::uint32_t cycles, std::uint32_t instances = 1);
 
-  ScenarioSpec& with_title(std::string t);
   ScenarioSpec& with_topology(TopologyConfig t);
   ScenarioSpec& with_failure(FailureSpec f);
   ScenarioSpec& with_comm(CommSpec c);
@@ -252,13 +251,11 @@ struct ScenarioSpec {
   ScenarioSpec& with_combine(CombineSpec c);
   ScenarioSpec& with_drift(DriftSpec d);
   ScenarioSpec& with_service(ServiceSpec s);
-  ScenarioSpec& with_runtime(RuntimeSpec r);
   ScenarioSpec& with_init(InitKind k);
   ScenarioSpec& with_reps(std::uint32_t r);
   ScenarioSpec& with_seed(std::uint64_t s);
   ScenarioSpec& with_engine(EngineKind k);
   ScenarioSpec& with_driver(DriverKind d);
-  ScenarioSpec& with_instances(std::uint32_t t);
   ScenarioSpec& with_match_rounds(std::uint32_t r);
   ScenarioSpec& with_sweep(SweepAxis axis, std::vector<SweepPoint> points);
   ScenarioSpec& with_seed_point(std::uint64_t seed_point);  ///< no-sweep id

@@ -32,16 +32,40 @@ void Population::kill(NodeId id) {
   position_[id.value()] = kDead;
 }
 
+void Population::stage_range(std::uint32_t lo, std::uint32_t hi,
+                             std::uint32_t max_kills) {
+  // Serial and in ascending id order: the victim set is a pure function
+  // of the live set, whatever retires it.
+  victims_.clear();
+  const std::uint32_t end = hi < total() ? hi : total();
+  for (std::uint32_t id = lo; id < end && victims_.size() < max_kills; ++id) {
+    if (position_[id] != kDead) victims_.emplace_back(id);
+  }
+}
+
 std::uint32_t Population::kill_range(std::uint32_t lo, std::uint32_t hi,
                                      std::uint32_t max_kills) {
-  std::uint32_t killed = 0;
-  const std::uint32_t end = hi < total() ? hi : total();
-  for (std::uint32_t id = lo; id < end && killed < max_kills; ++id) {
-    if (position_[id] == kDead) continue;
-    kill(NodeId(id));
-    ++killed;
+  stage_range(lo, hi, max_kills);
+  for (const NodeId v : victims_) kill(v);
+  return static_cast<std::uint32_t>(victims_.size());
+}
+
+std::uint32_t Population::kill_range_batch(std::uint32_t lo, std::uint32_t hi,
+                                           std::uint32_t max_kills,
+                                           unsigned chunks,
+                                           const ParallelFor* par) {
+  stage_range(lo, hi, max_kills);
+  kill_many(victims_, chunks, par);
+  return static_cast<std::uint32_t>(victims_.size());
+}
+
+void Population::kill_uniform_batch(std::uint32_t kills, Rng& rng,
+                                    unsigned chunks, const ParallelFor* par) {
+  victims_.clear();
+  for (const std::uint64_t pos : rng.sample_distinct(live_count(), kills)) {
+    victims_.push_back(live_[pos]);
   }
-  return killed;
+  kill_many(victims_, chunks, par);
 }
 
 void Population::kill_many(std::span<const NodeId> victims, unsigned chunks,

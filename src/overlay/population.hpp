@@ -6,12 +6,16 @@
 // experiments (fig. 6b) need — every replacement node is a brand-new
 // identity that must not inherit the estimate of the node it replaces.
 //
-// Both cycle engines run on this one live set. The serial driver kills
-// one node at a time (kill's swap-remove); the intra-rep engine retires
-// each cycle's victims in one batch (kill_many's stable compaction,
-// whose count and scatter passes fan out through the executor it is
-// given). Every mutation is issued from the driver thread between the
-// engines' parallel phases, so the class takes no locks.
+// Both cycle engines and the runtime executor run on this one live set.
+// The serial driver kills one node at a time (kill's swap-remove); the
+// intra-rep engine and the executor retire each cycle's victims in one
+// batch (kill_range_batch / kill_uniform_batch, through kill_many's
+// stable compaction, whose count and scatter passes fan out through the
+// ParallelFor it is given). The batch path never reorders survivors, so a
+// set edited only by add() and batch kills keeps live() ascending, and
+// one seed names the same victims on every host of it. Every mutation is
+// issued from the driver thread between the hosts' parallel phases, so
+// the class takes no locks.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +70,18 @@ public:
   void kill_many(std::span<const NodeId> victims, unsigned chunks = 1,
                  const ParallelFor* par = nullptr);
 
+  /// kill_range's victims — the live ids in [lo, hi), ascending, at most
+  /// `max_kills` — retired in one kill_many. Returns the number killed.
+  std::uint32_t kill_range_batch(std::uint32_t lo, std::uint32_t hi,
+                                 std::uint32_t max_kills, unsigned chunks = 1,
+                                 const ParallelFor* par = nullptr);
+
+  /// Retires the nodes at live-list positions
+  /// rng.sample_distinct(live_count(), kills) in one kill_many: one
+  /// distinct-position draw in place of kill()'s draw-kill-draw.
+  void kill_uniform_batch(std::uint32_t kills, Rng& rng, unsigned chunks = 1,
+                          const ParallelFor* par = nullptr);
+
   [[nodiscard]] bool alive(NodeId id) const {
     GOSSIP_REQUIRE(id.is_valid() && id.value() < total(),
                    "alive() id out of range");
@@ -88,7 +104,8 @@ public:
     return static_cast<std::uint32_t>(live_.size());
   }
 
-  /// Live ids in unspecified order (changes on kill/kill_many).
+  /// Live ids: ascending while only add() and the batch kills edit the
+  /// set; kill() swap-removes.
   [[nodiscard]] const std::vector<NodeId>& live() const { return live_; }
 
   /// Uniform random live node. Requires at least one live node.
@@ -111,8 +128,13 @@ public:
 private:
   static constexpr std::uint32_t kDead = static_cast<std::uint32_t>(-1);
 
+  /// Stages kill_range's victims in victims_.
+  void stage_range(std::uint32_t lo, std::uint32_t hi,
+                   std::uint32_t max_kills);
+
   std::vector<NodeId> live_;            // compact list of live ids
   std::vector<std::uint32_t> position_;  // id -> index in live_, or kDead
+  std::vector<NodeId> victims_;          // batch kill staging
   std::vector<NodeId> compact_;          // kill_many scatter target
   std::vector<std::size_t> chunk_offsets_;  // kill_many survivor prefix sums
 };

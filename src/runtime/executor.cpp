@@ -98,12 +98,12 @@ void add_protocol(RuntimeCounters& c, const proto::Node::Stats& s) {
 Executor::Executor(ExecutorConfig config, Transport& transport)
     : config_(normalized(std::move(config))),
       transport_(transport),
+      population_(0),
       sync_(static_cast<std::ptrdiff_t>(config_.workers) + 1),
       driver_rng_(config_.seed ^ salt::kRuntimeDriver) {
   const std::uint32_t local = config_.local_hi - config_.local_lo;
-  const std::size_t capacity = std::size_t{local} + config_.max_joins;
-  nodes_.reserve(capacity);
-  alive_.reserve(capacity);
+  nodes_.reserve(local);
+  population_.reserve(local);
 
   workers_.reserve(config_.workers);
   Rng worker_seeds(config_.seed ^ salt::kRuntimeWorkerPool);
@@ -125,17 +125,20 @@ Executor::Executor(ExecutorConfig config, Transport& transport)
 
 Executor::~Executor() = default;
 
-std::uint32_t Executor::slot_of(NodeId id) const {
-  const std::uint32_t raw = id.value();
-  if (raw >= config_.local_lo && raw < config_.local_hi) {
-    return raw - config_.local_lo;
-  }
-  // Ids past the initial space are locally-joined churn identities.
+std::uint32_t Executor::lower_slot(std::uint32_t id) const {
   const std::uint32_t local = config_.local_hi - config_.local_lo;
-  GOSSIP_REQUIRE(raw >= config_.nodes, "frame addressed to a remote node");
-  const std::uint32_t slot = local + (raw - config_.nodes);
-  GOSSIP_REQUIRE(slot < alive_.size(), "frame addressed to an unknown node");
-  return slot;
+  if (id <= config_.local_lo) return 0;
+  if (id < config_.local_hi) return id - config_.local_lo;
+  if (id <= config_.nodes) return local;
+  // Ids past the initial space are locally-joined churn identities.
+  return local + (id - config_.nodes);
+}
+
+std::uint32_t Executor::slot_of(NodeId id) const {
+  const std::uint32_t slot = lower_slot(id.value());
+  return slot < population_.total() && global_of(slot) == id.value()
+             ? slot
+             : kNoSlot;
 }
 
 std::uint32_t Executor::global_of(std::uint32_t slot) const {
@@ -145,16 +148,8 @@ std::uint32_t Executor::global_of(std::uint32_t slot) const {
 }
 
 void Executor::sink(Frame&& frame) {
-  const std::uint32_t raw = frame.dst.value();
-  std::uint32_t slot;
-  const std::uint32_t local = config_.local_hi - config_.local_lo;
-  if (raw >= config_.local_lo && raw < config_.local_hi) {
-    slot = raw - config_.local_lo;
-  } else if (raw >= config_.nodes && raw - config_.nodes < alive_.size() - local) {
-    slot = local + (raw - config_.nodes);
-  } else {
-    return;  // stale or corrupt destination — not ours, drop silently
-  }
+  const std::uint32_t slot = slot_of(frame.dst);
+  if (slot == kNoSlot) return;  // not ours: drop silently
   const std::uint32_t to = slot % config_.workers;
   if (current_worker.executor == this) {
     // Counted in flight when the sender's outbox flushes.
@@ -170,14 +165,20 @@ void Executor::sink(Frame&& frame) {
 }
 
 ExecutorResult Executor::run(const failure::FailurePlan& plan) {
+  // Joins append slots; room for the plan's whole join volume means no
+  // join batch re-copies the nodes.
+  const std::size_t capacity =
+      nodes_.size() + plan.total_joins(config_.cycles);
+  nodes_.reserve(capacity);
+  population_.reserve(capacity);
   transport_.start();
   const auto t0 = Clock::now();
 
   record_stats();
   long double sum_initial = 0.0L;
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    if (alive_[slot] && nodes_[slot].participating()) {
-      sum_initial += nodes_[slot].estimate();
+  for (const NodeId u : population_.live()) {
+    if (nodes_[u.value()].participating()) {
+      sum_initial += nodes_[u.value()].estimate();
     }
   }
 
@@ -221,11 +222,13 @@ ExecutorResult Executor::run(const failure::FailurePlan& plan) {
   ExecutorResult result;
   result.per_cycle = std::move(per_cycle_);
   result.tracking_error = std::move(tracking_error_);
-  long double sum_final = 0.0L;
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    const proto::Node& node = nodes_[slot];
+  for (const proto::Node& node : nodes_) {
     add_protocol(result.counters, node.stats());
-    if (!alive_[slot] || !node.participating()) continue;
+  }
+  long double sum_final = 0.0L;
+  for (const NodeId u : population_.live()) {
+    const proto::Node& node = nodes_[u.value()];
+    if (!node.participating()) continue;
     result.final_estimates.push_back(node.estimate());
     sum_final += node.estimate();
     ++result.participants;
@@ -284,7 +287,7 @@ void Executor::run_cycle(Worker& w, std::uint32_t cycle) {
       std::this_thread::sleep_until(cycle_start_ + s * slot_len);
     }
     for (std::uint32_t u : w.wheel[s]) {
-      if (!alive_[u]) continue;
+      if (!population_.alive_unchecked(NodeId(u))) continue;
       proto::Node& node = nodes_[u];
       if (config_.overlay == OverlayMode::kNewscast) {
         const NodeId peer = node.view().sample(w.rng);
@@ -426,8 +429,8 @@ void Executor::process(Worker& w, Frame& frame) {
   if (auto& pool = w.spares[family(message)]; pool.size() < kMaxSpares) {
     pool.push_back(std::move(frame.payload));
   }
-  const std::uint32_t d = slot_of(frame.dst);
-  if (!alive_[d]) {
+  const std::uint32_t d = slot_of(frame.dst);  // sink admitted it
+  if (!population_.alive_unchecked(NodeId(d))) {
     w.counters.dropped_dead++;
     // A push delivered to a dead node still counts as received.
     if (std::holds_alternative<proto::AggPush>(message)) {
@@ -511,8 +514,7 @@ void Executor::fail(const std::string& message) {
 
 void Executor::apply_failures(std::uint32_t cycle,
                               const failure::FailurePlan& plan) {
-  std::uint32_t live = 0;
-  for (const char a : alive_) live += a != 0;
+  const std::uint32_t live = population_.live_count();
   const failure::CycleEvent event = plan.before_cycle(cycle, live);
   GOSSIP_REQUIRE(!event.restart,
                  "epoch restarts are not supported on the runtime path");
@@ -520,30 +522,11 @@ void Executor::apply_failures(std::uint32_t cycle,
   failure::apply_kills(
       event, live,
       [this](std::uint32_t lo, std::uint32_t hi, std::uint32_t max_kills) {
-        // Slots ascend with global ids, so this is the simulators'
-        // ascending-id range kill.
-        std::uint32_t killed = 0;
-        for (std::size_t slot = 0;
-             slot < alive_.size() && killed < max_kills; ++slot) {
-          const std::uint32_t id = global_of(static_cast<std::uint32_t>(slot));
-          if (alive_[slot] && id >= lo && id < hi) {
-            alive_[slot] = 0;
-            ++killed;
-          }
-        }
-        return killed;
+        return population_.kill_range_batch(lower_slot(lo), lower_slot(hi),
+                                            max_kills);
       },
       [this](std::uint32_t kills) {
-        std::vector<std::uint32_t> candidates;
-        for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
-          if (alive_[slot]) {
-            candidates.push_back(static_cast<std::uint32_t>(slot));
-          }
-        }
-        for (const std::uint64_t i :
-             driver_rng_.sample_distinct(candidates.size(), kills)) {
-          alive_[candidates[i]] = 0;
-        }
+        population_.kill_uniform_batch(kills, driver_rng_);
       });
 
   for (std::uint32_t j = 0; j < event.joins; ++j) {
@@ -553,19 +536,17 @@ void Executor::apply_failures(std::uint32_t cycle,
 
 void Executor::apply_drift(std::uint32_t cycle) {
   if (!config_.drift) return;
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    if (!alive_[slot]) continue;
-    nodes_[slot].drift(
-        config_.drift(cycle, global_of(static_cast<std::uint32_t>(slot))));
+  for (const NodeId u : population_.live()) {
+    nodes_[u.value()].drift(config_.drift(cycle, global_of(u.value())));
   }
 }
 
 void Executor::record_stats() {
   stats::RunningStats estimate_stats;
   stats::RunningStats value_stats;
-  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
-    const proto::Node& node = nodes_[slot];
-    if (!alive_[slot] || !node.participating()) continue;
+  for (const NodeId u : population_.live()) {
+    const proto::Node& node = nodes_[u.value()];
+    if (!node.participating()) continue;
     estimate_stats.add(node.estimate());
     value_stats.add(node.local_value());
   }
@@ -578,14 +559,13 @@ void Executor::record_stats() {
 
 void Executor::add_node(double value, bool participant,
                         std::uint32_t bootstrap_ts) {
-  const auto slot = static_cast<std::uint32_t>(nodes_.size());
+  const std::uint32_t slot = population_.add().value();
   const NodeId self(global_of(slot));
   proto::ProtocolConfig protocol;
   protocol.cache_size = config_.cache_size;
   // The run is one epoch, which a joiner (joined during epoch 0) sits out.
   nodes_.push_back(participant ? proto::Node(self, value, protocol)
                                : proto::Node(self, value, protocol, 0));
-  alive_.push_back(1);
   if (config_.overlay == OverlayMode::kNewscast) {
     // Bootstrap with a few random peers so the node can gossip at once.
     // Initial nodes point anywhere in the global id space; churn joiners
@@ -601,7 +581,7 @@ void Executor::add_node(double value, bool participant,
       } else {
         const auto other =
             static_cast<std::uint32_t>(driver_rng_.below(slot));
-        if (!alive_[other]) continue;
+        if (!population_.alive_unchecked(NodeId(other))) continue;
         peer = global_of(other);
       }
       view[filled++] = membership::CacheEntry(NodeId(peer), bootstrap_ts);

@@ -37,7 +37,10 @@
 // The executor runs one cycle-stepped epoch: between cycles a driver
 // thread applies the failure plan (kills/joins), the drift stream and
 // records per-cycle estimate statistics, exactly like the simulators —
-// which is what makes the runtime_vs_sim cross-check meaningful. Runs with
+// which is what makes the runtime_vs_sim cross-check meaningful. The live
+// set is an overlay::Population over the local slots, and the plan's
+// crashes retire through its batch kills, the intra-rep engine's code: the
+// same seed names the same victims on both. Runs with
 // several workers are wall-clock concurrent and NOT bit-deterministic;
 // their tests assert protocol invariants (conservation, convergence). A
 // one-worker loopback run handles every frame in one order and is pinned.
@@ -59,6 +62,7 @@
 #include "common/rng.hpp"
 #include "failure/failure_plan.hpp"
 #include "overlay/graph.hpp"
+#include "overlay/population.hpp"
 #include "proto/node.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/transport.hpp"
@@ -94,7 +98,6 @@ struct ExecutorConfig {
   /// move together); null = static values. Must be a pure function of
   /// (cycle, node) so cooperating processes agree.
   std::function<double(std::uint32_t cycle, std::uint32_t node)> drift;
-  std::uint32_t max_joins = 0;  ///< churn headroom for preallocation
 };
 
 struct ExecutorResult {
@@ -147,8 +150,15 @@ private:
     RuntimeCounters counters;
   };
 
+  /// The first local slot whose global id is >= `id`. global_of is
+  /// increasing, so a global id range [lo, hi) is the slot interval
+  /// [lower_slot(lo), lower_slot(hi)).
+  [[nodiscard]] std::uint32_t lower_slot(std::uint32_t id) const;
+  /// The local slot hosting `id`, or kNoSlot for a remote, stale or
+  /// corrupt destination.
   [[nodiscard]] std::uint32_t slot_of(NodeId id) const;
   [[nodiscard]] std::uint32_t global_of(std::uint32_t slot) const;
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   [[nodiscard]] bool single_process() const {
     return config_.local_hi - config_.local_lo == config_.nodes;
   }
@@ -176,10 +186,11 @@ private:
   ExecutorConfig config_;
   Transport& transport_;
 
-  // Node state, indexed by local slot. Mutated by the owning worker
-  // during a cycle and by the driver between barriers only.
+  // Node state and the live set (ascending slots), indexed by local slot.
+  // A node is mutated by its owning worker during a cycle; the driver
+  // mutates both between barriers only.
   std::vector<proto::Node> nodes_;
-  std::vector<char> alive_;
+  overlay::Population population_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::int64_t> in_flight_{0};

@@ -1,52 +1,31 @@
 #include "sim/event_loop.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace gossip::sim {
 
-TaskId EventLoop::schedule_at(SimTime at, Callback fn) {
+void EventLoop::schedule_at(SimTime at, Callback fn) {
   GOSSIP_REQUIRE(at >= now_, "cannot schedule into the past");
   GOSSIP_REQUIRE(static_cast<bool>(fn), "cannot schedule an empty callback");
-  const TaskId id = next_id_++;
-  queue_.push(Entry{at, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
-}
-
-bool EventLoop::cancel(TaskId id) {
-  // The heap entry stays behind as a tombstone; pop_next skips it.
-  return callbacks_.erase(id) > 0;
-}
-
-bool EventLoop::pop_next(Entry& out) {
-  while (!queue_.empty()) {
-    const Entry e = queue_.top();
-    if (callbacks_.contains(e.id)) {
-      out = e;
-      return true;
-    }
-    queue_.pop();  // cancelled tombstone
-  }
-  return false;
+  queue_.push_back(Entry{at, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), later);
 }
 
 bool EventLoop::step() {
-  Entry e;
-  if (!pop_next(e)) return false;
-  queue_.pop();
-  auto node = callbacks_.extract(e.id);
+  if (queue_.empty()) return false;
+  std::pop_heap(queue_.begin(), queue_.end(), later);
+  // Moved out first: the callback may schedule, and so grow the queue.
+  Entry e = std::move(queue_.back());
+  queue_.pop_back();
   now_ = e.at;
   ++executed_;
-  node.mapped()();
+  e.fn();
   return true;
 }
 
 void EventLoop::run_until(SimTime until) {
-  for (;;) {
-    Entry e;
-    if (!pop_next(e) || e.at > until) break;
-    step();
-  }
+  while (!queue_.empty() && queue_.front().at <= until) step();
   if (now_ < until) now_ = until;
 }
 

@@ -10,8 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/require.hpp"
@@ -22,9 +21,9 @@ namespace gossip::sim {
 /// wide enough for years of simulated uptime).
 using SimTime = std::uint64_t;
 
-/// Identifies a scheduled event for cancellation.
-using TaskId = std::uint64_t;
-
+/// No event is ever cancelled: a host that arms a timeout lets it fire
+/// and ignores it when stale (proto::Node::on_timeout checks the request
+/// id), so each callback lives in its heap entry.
 class EventLoop {
 public:
   using Callback = std::function<void()>;
@@ -32,16 +31,12 @@ public:
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute virtual time `at` (>= now).
-  TaskId schedule_at(SimTime at, Callback fn);
+  void schedule_at(SimTime at, Callback fn);
 
   /// Schedules `fn` after `delay` from now.
-  TaskId schedule_after(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  void schedule_after(SimTime delay, Callback fn) {
+    schedule_at(now_ + delay, std::move(fn));
   }
-
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled.
-  bool cancel(TaskId id);
 
   /// Runs the next event. Returns false when the queue is empty.
   bool step();
@@ -54,29 +49,27 @@ public:
   /// schedules via `max_events`.
   void run(std::uint64_t max_events = 100'000'000);
 
-  [[nodiscard]] std::size_t pending() const { return callbacks_.size(); }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
 private:
   struct Entry {
     SimTime at;
     std::uint64_t seq;  // FIFO tie-break
-    TaskId id;
-    friend bool operator>(const Entry& a, const Entry& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+    Callback fn;
   };
 
-  /// Pops the next live (non-cancelled) entry; false if none.
-  bool pop_next(Entry& out);
+  /// Heap order over (at, seq), so std::push_heap/pop_heap keep the
+  /// earliest entry at the front.
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
+  }
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  TaskId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_map<TaskId, Callback> callbacks_;
+  std::vector<Entry> queue_;  // a heap under later()
 };
 
 }  // namespace gossip::sim

@@ -8,6 +8,7 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
+#include "experiment/parallel_runner.hpp"
 #include "overlay/analysis.hpp"
 #include "overlay/generators.hpp"
 #include "overlay/graph.hpp"
@@ -351,6 +352,56 @@ TEST(Population, SampleLiveOtherOneLiveNodeCannotSpin) {
   CompletePeerSampler sampler(p);
   EXPECT_EQ(sampler.sample(NodeId(0), rng), NodeId::invalid());
   EXPECT_EQ(sampler.sample(NodeId(3), rng), NodeId(0));
+}
+
+TEST(Population, BatchKillsKeepLiveAscendingAndRetireSampledPositions) {
+  // The intra-rep engine and the runtime executor edit their live sets
+  // only through add() and the batch kills, so live() stays ascending,
+  // and a sampled kill retires live()[p] for each p that
+  // sample_distinct draws: one seed names the same victims on both.
+  experiment::ParallelRunner pool(4);
+  const ParallelFor par = [&pool](std::size_t count,
+                                  const std::function<void(std::size_t)>& job) {
+    pool.run(count, job);
+  };
+  for (const ParallelFor* exec : {static_cast<const ParallelFor*>(nullptr),
+                                  &par}) {
+    for (const unsigned chunks : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "chunks=" << chunks
+                                      << " pool=" << (exec != nullptr));
+      Population pop(40);
+      Rng rng(61);
+      Rng twin(61);
+      for (std::uint32_t round = 0; round < 8; ++round) {
+        const std::vector<NodeId> before = pop.live();
+        const std::uint32_t k = 1 + round % 4;
+        std::vector<NodeId> victims;
+        for (const std::uint64_t p : twin.sample_distinct(before.size(), k)) {
+          victims.push_back(before[p]);
+        }
+        pop.kill_uniform_batch(k, rng, chunks, exec);
+        std::vector<NodeId> expected;
+        for (const NodeId id : before) {
+          if (std::find(victims.begin(), victims.end(), id) ==
+              victims.end()) {
+            expected.push_back(id);
+          }
+        }
+        EXPECT_EQ(pop.live(), expected);
+
+        const std::uint32_t lo = 4 * round;
+        std::uint32_t in_range = 0;
+        for (std::uint32_t id = lo; id < lo + 6; ++id) {
+          in_range += pop.alive(NodeId(id)) ? 1 : 0;
+        }
+        EXPECT_EQ(pop.kill_range_batch(lo, lo + 6, 3, chunks, exec),
+                  std::min(in_range, 3u));
+        (void)pop.add();
+        (void)pop.add();
+        EXPECT_TRUE(std::is_sorted(pop.live().begin(), pop.live().end()));
+      }
+    }
+  }
 }
 
 TEST(Population, EmptyPopulationSamplingThrows) {

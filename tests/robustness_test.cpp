@@ -51,17 +51,28 @@ double final_bias(const RunResult& run) {
 // ------------------------------------------------- kill_range primitive
 
 TEST(KillRange, KillsAscendingIdsWithinBudget) {
-  overlay::Population pop(10);
-  pop.kill(NodeId(3));
-  // Range [2, 8) holds live ids 2,4,5,6,7; budget 3 takes the lowest 3.
-  EXPECT_EQ(pop.kill_range(2, 8, 3), 3u);
-  for (std::uint32_t id = 0; id < 10; ++id) {
-    const bool expect_dead = id == 3 || id == 2 || id == 4 || id == 5;
-    EXPECT_EQ(pop.alive(NodeId(id)), !expect_dead) << id;
+  // The serial kill_range and the batch kill_range_batch (the intra-rep
+  // engine's and the runtime executor's) kill the same ids.
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "kill_range_batch" : "kill_range");
+    overlay::Population pop(10);
+    pop.kill(NodeId(3));
+    const auto kill_range = [&pop, batch](std::uint32_t lo, std::uint32_t hi,
+                                          std::uint32_t max_kills) {
+      return batch ? pop.kill_range_batch(lo, hi, max_kills)
+                   : pop.kill_range(lo, hi, max_kills);
+    };
+    // Range [2, 8) holds live ids 2,4,5,6,7; budget 3 takes the lowest 3.
+    EXPECT_EQ(kill_range(2, 8, 3), 3u);
+    for (std::uint32_t id = 0; id < 10; ++id) {
+      const bool expect_dead = id == 3 || id == 2 || id == 4 || id == 5;
+      EXPECT_EQ(pop.alive(NodeId(id)), !expect_dead) << id;
+    }
+    EXPECT_EQ(kill_range(0, 10, 0), 0u);   // zero budget
+    EXPECT_EQ(kill_range(6, 6, 10), 0u);   // empty range
+    EXPECT_EQ(kill_range(2, 6, 10), 0u);   // already dead
+    EXPECT_EQ(pop.live_count(), 6u);
   }
-  EXPECT_EQ(pop.kill_range(0, 10, 0), 0u);   // zero budget
-  EXPECT_EQ(pop.kill_range(6, 6, 10), 0u);   // empty range
-  EXPECT_EQ(pop.kill_range(2, 6, 10), 0u);   // already dead
 }
 
 /// Kills id 9, then the id block [4, 20) — a block that already holds a
