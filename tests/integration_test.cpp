@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/count.hpp"
 #include "experiment/cycle_sim.hpp"
@@ -244,6 +246,56 @@ TEST(Integration, TheoremOneHoldsOnTheEventEngine) {
   }
   EXPECT_NEAR(mu.mean(), 1.0, 0.2);
   EXPECT_GT(mu.variance(), 0.0);  // crashes do scatter the mean
+}
+
+/// Every per-cycle variance (%.17g), the participant count and the final
+/// mean of one run, as one comparable line.
+std::string event_digest(const experiment::RunResult& run) {
+  std::string out;
+  char buf[64];
+  for (const stats::RunningStats& s : run.per_cycle) {
+    std::snprintf(buf, sizeof buf, "%.17g ", s.variance());
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "participants=%u mean=%.17g",
+                run.participants, run.sizes.mean);
+  return out + buf;
+}
+
+TEST(Integration, EventDriverLossyRunIsPinned) {
+  // The event host's bits under 10% message loss: the loss and latency
+  // draws share one network stream, so any change to its draw order, to
+  // the delivery schedule or to the drop of a message at a dead
+  // receiver moves these lines.
+  const auto spec =
+      experiment::ScenarioSpec::average_peak("lossy_event", 300, 15)
+          .with_driver(experiment::DriverKind::kEvent)
+          .with_comm({0.0, 0.1});
+  const std::pair<std::uint64_t, const char*> goldens[] = {
+      {11,
+       "299.99999999999994 34.709448160535118 13.179747157272292 "
+       "5.1928314078212994 2.2294036375730926 1.0383835524305634 "
+       "0.46760881416049682 0.24365694326515411 0.11331410064980363 "
+       "0.047633439451535101 0.020666742081140287 "
+       "0.011191831869990803 0.0051179574863026538 "
+       "0.0019749560898433072 0.0011176903549644016 "
+       "0.00064772270225383352 participants=300 "
+       "mean=0.78559430125688579"},
+      {12,
+       "299.99999999999994 99.380095108695613 32.147946565047569 "
+       "17.52924867014066 8.5195067845840811 5.5991888096869431 "
+       "1.6894077897513582 0.59102158866933197 0.26537124899378228 "
+       "0.1225041600355815 0.050358743733701666 "
+       "0.022994838766682572 0.012512806317850102 "
+       "0.0053648483393878427 0.0023596611404734786 "
+       "0.00097482068081324025 participants=300 "
+       "mean=1.0221657902464909"},
+  };
+  experiment::Engine engine;
+  for (const auto& [seed, expected] : goldens) {
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(event_digest(engine.run_single(spec, seed)), expected);
+  }
 }
 
 }  // namespace
