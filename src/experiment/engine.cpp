@@ -248,21 +248,7 @@ RunResult exec_runtime(const ScenarioSpec& spec, std::uint64_t seed,
   runtime::FaultConfig faults;
   faults.p_loss = spec.comm.message_loss;
   faults.seed = splitmix64(seed) ^ salt::kEngineFaults;
-  switch (rt.latency) {
-    case RuntimeSpec::LatencyKind::kNone: break;
-    case RuntimeSpec::LatencyKind::kFixed:
-      faults.latency = std::make_shared<net::FixedLatency>(rt.delay_lo_us);
-      break;
-    case RuntimeSpec::LatencyKind::kUniform:
-      faults.latency =
-          std::make_shared<net::UniformLatency>(rt.delay_lo_us,
-                                                rt.delay_hi_us);
-      break;
-    case RuntimeSpec::LatencyKind::kExponential:
-      faults.latency = std::make_shared<net::ExponentialLatency>(
-          rt.delay_lo_us, static_cast<double>(rt.delay_hi_us));
-      break;
-  }
+  faults.latency = {rt.latency, rt.delay_lo_us, rt.delay_hi_us};
 
   std::unique_ptr<runtime::Transport> transport;
   if (rt.transport == RuntimeSpec::TransportKind::kLoopback) {

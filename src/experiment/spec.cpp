@@ -1026,7 +1026,7 @@ void validate_fields(const ScenarioSpec& spec) {
       fail("driver 'event' supports aggregate 'average' only");
     }
     // Event-engine descriptors are stamped with simulated microseconds
-    // (cycle_length = 10⁶ µs, proto::WorldConfig), which must fit the
+    // (δ = proto::World::kCycleLength = 10⁶ µs), which must fit the
     // packed 32-bit logical clock of membership::CacheEntry.
     if (spec.cycles > 4294u) {
       fail("driver 'event' stamps simulated microseconds into the packed "

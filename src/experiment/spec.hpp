@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "experiment/cycle_sim.hpp"
+#include "failure/comm_failure.hpp"
 #include "failure/failure_plan.hpp"
 
 namespace gossip::experiment {
@@ -132,10 +133,10 @@ struct RuntimeSpec {
     kLoopback,  ///< in-process frames (N=10³–10⁴ nodes, one process)
     kSocket,    ///< TCP over loopback between `processes` cooperating runs
   };
-  /// Injected one-way delay model (net/latency.hpp), in microseconds:
+  /// Injected one-way delay model (failure::Latency), in microseconds:
   /// fixed uses delay_lo_us; uniform draws [delay_lo_us, delay_hi_us];
   /// exponential uses delay_lo_us as base and delay_hi_us as tail mean.
-  enum class LatencyKind { kNone, kFixed, kUniform, kExponential };
+  using LatencyKind = failure::Latency::Kind;
 
   std::uint32_t workers = 0;        ///< dispatcher threads; 0 = auto
   std::uint32_t wheel_slots = 8;    ///< timer-wheel wakeup ticks per cycle

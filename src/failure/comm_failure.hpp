@@ -1,6 +1,8 @@
-// Communication-level failure models of §6.2 / §7.2.
+// Communication-level failure models of §2, §6.2 and §7.2.
 //
-// Three distinct mechanisms, because they have distinct effects:
+// Three distinct per-exchange mechanisms, because they have distinct
+// effects (CommFailureModel, drawn once per exchange by the cycle
+// engines):
 //  * link failure (P_d): the whole exchange silently never happens —
 //    symmetric, only slows convergence (ρ_d = e^(P_d−1));
 //  * request loss: the initiator's push never arrives — same symmetric
@@ -8,7 +10,16 @@
 //  * response loss: the passive peer has already replied *and updated*,
 //    but the initiator never hears back — asymmetric, changes the global
 //    sum. This is why fig. 7b looks so much worse than fig. 7a.
+//
+// And one per-message mechanism, §2's system model: any message may be
+// lost or delayed. message_delay() draws one message's fate (loss, then
+// a Latency delay); both hosts of the §4 node call it, proto::World on
+// virtual time and runtime::Transport on the wall clock, so request and
+// response loss there fall out of the hosts' own timeouts.
 #pragma once
+
+#include <cstdint>
+#include <optional>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -69,5 +80,40 @@ private:
   double p_link_down_ = 0.0;
   double p_message_loss_ = 0.0;
 };
+
+/// One-way message delay in microseconds (§2: "communication incurs
+/// unpredictable delays"). kFixed waits lo; kUniform draws [lo, hi];
+/// kExponential waits lo plus an exponential tail of mean hi; kNone
+/// waits 0. The bounds are the host's to check: uniform needs lo <= hi
+/// and exponential hi > 0 (runtime::Transport checks both).
+struct Latency {
+  enum class Kind { kNone, kFixed, kUniform, kExponential };
+
+  Kind kind = Kind::kNone;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  /// kNone and kFixed draw nothing; kUniform draws one
+  /// below(hi - lo + 1), kExponential one exponential(hi).
+  [[nodiscard]] std::uint64_t sample(Rng& rng) const {
+    switch (kind) {
+      case Kind::kNone: return 0;
+      case Kind::kFixed: return lo;
+      case Kind::kUniform: return lo + rng.below(hi - lo + 1);
+      case Kind::kExponential:
+        return lo + static_cast<std::uint64_t>(
+                        rng.exponential(static_cast<double>(hi)));
+    }
+    return 0;
+  }
+};
+
+/// One message's fate: nullopt when lost (one chance(p_loss) draw, made
+/// only when p_loss > 0), otherwise its delay from `latency`.
+[[nodiscard]] inline std::optional<std::uint64_t> message_delay(
+    double p_loss, const Latency& latency, Rng& rng) {
+  if (p_loss > 0.0 && rng.chance(p_loss)) return std::nullopt;
+  return latency.sample(rng);
+}
 
 }  // namespace gossip::failure

@@ -59,10 +59,4 @@ NodeId NewscastCache::sample(Rng& rng) const {
   return entries_[rng.below(entries_.size())].id;
 }
 
-void NewscastCache::expire_older_than(std::uint64_t cutoff) {
-  std::erase_if(entries_, [cutoff](const CacheEntry& e) {
-    return e.timestamp < cutoff;
-  });
-}
-
 }  // namespace gossip::membership

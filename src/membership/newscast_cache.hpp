@@ -94,9 +94,6 @@ public:
   /// overlay is NEWSCAST. Invalid when empty.
   [[nodiscard]] NodeId sample(Rng& rng) const;
 
-  /// Drops every entry older than `cutoff` (strictly smaller timestamp).
-  void expire_older_than(std::uint64_t cutoff);
-
 private:
   std::size_t capacity_;
   std::vector<CacheEntry> entries_;

@@ -57,6 +57,8 @@ public:
     std::uint64_t exchanges_completed = 0;  ///< active side, reply applied
     std::uint64_t news_exchanges = 0;       ///< NEWSCAST replies merged
     std::uint64_t epochs_adopted = 0;       ///< §4.3 jumps
+
+    bool operator==(const Stats&) const = default;
   };
 
   /// The exchange this node initiated and still awaits.

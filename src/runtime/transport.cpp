@@ -55,26 +55,36 @@ std::uint32_t get_u32(const std::byte* in) {
 // ---------------------------------------------------------------- base
 
 Transport::Transport(FaultConfig faults)
-    : faults_(std::move(faults)), fault_rng_(faults_.seed) {}
+    : faults_(faults), fault_rng_(faults_.seed) {
+  using Kind = failure::Latency::Kind;
+  const failure::Latency& latency = faults_.latency;
+  GOSSIP_REQUIRE(latency.kind != Kind::kUniform || latency.lo <= latency.hi,
+                 "uniform latency needs lo <= hi");
+  GOSSIP_REQUIRE(latency.kind != Kind::kExponential || latency.hi > 0,
+                 "exponential latency needs a positive tail mean");
+}
 
 bool Transport::fault_drop(Clock::time_point& deliver_at) {
   deliver_at = Clock::now();
-  if (faults_.p_loss <= 0.0 && faults_.latency == nullptr) return false;
+  if (faults_.p_loss <= 0.0 &&
+      faults_.latency.kind == failure::Latency::Kind::kNone) {
+    return false;
+  }
   const std::lock_guard lock(fault_mutex_);
-  if (faults_.p_loss > 0.0 && fault_rng_.chance(faults_.p_loss)) {
+  const auto delay =
+      failure::message_delay(faults_.p_loss, faults_.latency, fault_rng_);
+  if (!delay) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
-  if (faults_.latency != nullptr) {
-    deliver_at += std::chrono::microseconds(faults_.latency->sample(fault_rng_));
-  }
+  deliver_at += std::chrono::microseconds(*delay);
   return false;
 }
 
 // ------------------------------------------------------------ loopback
 
 LoopbackTransport::LoopbackTransport(FaultConfig faults)
-    : Transport(std::move(faults)) {}
+    : Transport(faults) {}
 
 bool LoopbackTransport::send(NodeId src, NodeId dst,
                              std::vector<std::byte> payload) {
@@ -104,7 +114,7 @@ std::uint32_t ProcessPartition::owner(std::uint32_t id) const {
 // -------------------------------------------------------------- socket
 
 SocketTransport::SocketTransport(FaultConfig faults, SocketConfig config)
-    : Transport(std::move(faults)),
+    : Transport(faults),
       config_(config),
       partition_{config.nodes, config.processes},
       out_fds_(config.processes, -1),

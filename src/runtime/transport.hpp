@@ -9,12 +9,12 @@
 //    control channel so cooperating processes can close each δ cycle
 //    together.
 //
-// Both implementations inject per-message faults before delivery: a
-// Bernoulli loss draw and a one-way delay drawn from net/latency.hpp's
-// models (the delayed frame is held by the receiving worker until its
-// deadline). Messages are opaque byte payloads here — encoding/decoding
-// stays in the executor so byte counters measure real wire volume on the
-// loopback path too.
+// Both implementations inject per-message faults before delivery through
+// failure::message_delay, the draw proto::World makes on virtual time: a
+// Bernoulli loss, then a one-way delay (the delayed frame is held by the
+// receiving worker until its deadline). Messages are opaque byte payloads
+// here — encoding/decoding stays in the executor so byte counters measure
+// real wire volume on the loopback path too.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,7 @@
 
 #include "common/node_id.hpp"
 #include "common/rng.hpp"
-#include "net/latency.hpp"
+#include "failure/comm_failure.hpp"
 
 namespace gossip::runtime {
 
@@ -42,10 +42,10 @@ struct Frame {
   std::chrono::steady_clock::time_point deliver_at;
 };
 
-/// Shared fault-injection knobs. `latency` null means no injected delay.
+/// Shared fault-injection knobs. Latency kind kNone injects no delay.
 struct FaultConfig {
   double p_loss = 0.0;
-  std::shared_ptr<net::LatencyModel> latency;  ///< sample() in microseconds
+  failure::Latency latency;  ///< in microseconds
   std::uint64_t seed = 1;
 };
 
@@ -56,6 +56,8 @@ using FrameSink = std::function<void(Frame&&)>;
 
 class Transport {
 public:
+  /// Rejects latency bounds no delay can satisfy: uniform lo > hi, or an
+  /// exponential tail mean of 0.
   explicit Transport(FaultConfig faults);
   virtual ~Transport() = default;
   Transport(const Transport&) = delete;

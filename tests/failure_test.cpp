@@ -1,6 +1,7 @@
-// Tests for src/failure: the §6/§7 node-failure plans and the
+// Tests for src/failure: the §6/§7 node-failure plans, the
 // communication failure model (including the asymmetric response-loss
-// semantics fig. 7b depends on).
+// semantics fig. 7b depends on) and the per-message fault draw both hosts
+// of the §4 node share (Latency, message_delay).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "common/rng.hpp"
 #include "failure/comm_failure.hpp"
 #include "failure/failure_plan.hpp"
+#include "runtime/transport.hpp"
 
 namespace gossip::failure {
 namespace {
@@ -205,6 +207,107 @@ TEST(CommFailure, LinkCheckedBeforeMessages) {
 TEST(CommFailure, RejectsBadProbabilities) {
   EXPECT_THROW(CommFailureModel(-0.1, 0.0), require_error);
   EXPECT_THROW(CommFailureModel(0.0, 1.5), require_error);
+}
+
+using LatencyKind = Latency::Kind;
+
+TEST(Latency, FixedAlwaysSame) {
+  const Latency lat{LatencyKind::kFixed, 42, 0};
+  Rng rng(1);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(lat.sample(rng), 42u);
+}
+
+TEST(Latency, UniformWithinBoundsAndCoversThem) {
+  const Latency lat{LatencyKind::kUniform, 10, 13};
+  Rng rng(2);
+  bool lo = false, hi = false;
+  for (int i = 0; i < 2000; ++i) {
+    const auto v = lat.sample(rng);
+    ASSERT_GE(v, 10u);
+    ASSERT_LE(v, 13u);
+    lo |= (v == 10);
+    hi |= (v == 13);
+  }
+  EXPECT_TRUE(lo);
+  EXPECT_TRUE(hi);
+}
+
+TEST(Latency, ExponentialMeanAboveBase) {
+  const Latency lat{LatencyKind::kExponential, 100, 50};
+  Rng rng(3);
+  double sum = 0.0;
+  constexpr int kTrials = 50000;
+  for (int i = 0; i < kTrials; ++i) {
+    sum += static_cast<double>(lat.sample(rng));
+  }
+  EXPECT_NEAR(sum / kTrials, 150.0, 2.0);
+}
+
+TEST(Latency, EachKindConsumesExactlyItsDraws) {
+  // A twin stream replays the draws each kind must make — none for
+  // kNone and kFixed, one below(hi - lo + 1) for kUniform, one
+  // exponential(hi) for kExponential — and the two streams then agree.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed), twin(seed);
+    EXPECT_EQ((Latency{LatencyKind::kNone, 0, 0}.sample(rng)), 0u);
+    EXPECT_EQ((Latency{LatencyKind::kFixed, 7, 0}.sample(rng)), 7u);
+    EXPECT_EQ((Latency{LatencyKind::kUniform, 5, 40}.sample(rng)),
+              5 + twin.below(36));
+    EXPECT_EQ((Latency{LatencyKind::kExponential, 9, 30}.sample(rng)),
+              9 + static_cast<std::uint64_t>(twin.exponential(30.0)));
+    EXPECT_EQ(rng(), twin());
+  }
+}
+
+TEST(Latency, TransportRejectsUnsatisfiableBounds) {
+  using runtime::FaultConfig;
+  using runtime::LoopbackTransport;
+  EXPECT_THROW(
+      LoopbackTransport(FaultConfig{0.0, {LatencyKind::kUniform, 5, 4}, 1}),
+      require_error);
+  EXPECT_THROW(LoopbackTransport(
+                   FaultConfig{0.0, {LatencyKind::kExponential, 5, 0}, 1}),
+               require_error);
+  EXPECT_NO_THROW(
+      LoopbackTransport(FaultConfig{0.0, {LatencyKind::kUniform, 4, 4}, 1}));
+}
+
+TEST(MessageDelay, LossRateRespected) {
+  const Latency lat{LatencyKind::kUniform, 10, 20};
+  Rng rng(4);
+  int lost = 0;
+  constexpr int kMsgs = 40000;
+  for (int i = 0; i < kMsgs; ++i) {
+    const auto delay = message_delay(0.25, lat, rng);
+    if (!delay) {
+      ++lost;
+      continue;
+    }
+    ASSERT_GE(*delay, 10u);
+    ASSERT_LE(*delay, 20u);
+  }
+  EXPECT_NEAR(static_cast<double>(lost) / kMsgs, 0.25, 0.01);
+}
+
+TEST(MessageDelay, LossDrawThenDelayDraw) {
+  // p > 0: one chance(p), then the latency's draws when not lost.
+  // p = 0: no loss draw at all.
+  const Latency lat{LatencyKind::kUniform, 100, 199};
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed), twin(seed);
+    const auto delay = message_delay(0.5, lat, rng);
+    if (twin.chance(0.5)) {
+      EXPECT_FALSE(delay.has_value());
+    } else {
+      EXPECT_EQ(delay, 100 + twin.below(100));
+    }
+    EXPECT_EQ(rng(), twin());
+  }
+  Rng rng(9), twin(9);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(message_delay(0.0, Latency{}, rng), 0u);
+  }
+  EXPECT_EQ(rng(), twin());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // lint-fixture-path: src/proto/decode_fixture.cpp
-// Seeded violations for rule raw-assert (scoped to src/proto/, src/net/,
+// Seeded violations for rule raw-assert (scoped to src/proto/, src/failure/,
 // src/runtime/). Never compiled — consumed by --self-test only.
 #include <cassert>
 #include <cstdint>

@@ -72,16 +72,6 @@ TEST(CacheEntryPacked, EightBytesAndGuardedClock) {
                require_error);
 }
 
-TEST(CacheEntryPacked, ExpireAcceptsWideCutoff) {
-  // expire_older_than keeps its 64-bit parameter: a cutoff beyond the
-  // packed clock simply drops everything rather than wrapping.
-  NewscastCache c(4);
-  c.insert(CacheEntry{NodeId(1), 5});
-  c.insert(CacheEntry{NodeId(2), CacheEntry::kMaxTimestamp});
-  c.expire_older_than(CacheEntry::kMaxTimestamp + 1);
-  EXPECT_TRUE(c.empty());
-}
-
 TEST(NewscastCache, DuplicateKeepsFreshest) {
   NewscastCache c(4);
   c.insert(CacheEntry{NodeId(1), 5});
@@ -158,16 +148,6 @@ TEST(NewscastCache, SampleEmptyIsInvalid) {
   NewscastCache c(2);
   Rng rng(1);
   EXPECT_EQ(c.sample(rng), NodeId::invalid());
-}
-
-TEST(NewscastCache, ExpireOlderThan) {
-  NewscastCache c(5);
-  c.insert(CacheEntry{NodeId(1), 1});
-  c.insert(CacheEntry{NodeId(2), 5});
-  c.insert(CacheEntry{NodeId(3), 9});
-  c.expire_older_than(5);
-  EXPECT_EQ(c.size(), 2u);
-  EXPECT_FALSE(c.contains(NodeId(1)));
 }
 
 TEST(NewscastNetwork, BootstrapFillsDistinctOthers) {

@@ -1,16 +1,19 @@
 // Tests for src/proto: the sans-I/O node of §4's "practical protocol"
 // driven directly (NACKs, join gating, stale epochs, late replies, the
 // non-atomic ablation), then hosted by the event-driven World —
-// convergence under real delays, timeouts against crashed peers, epoch
-// restart and epidemic epoch synchronization, join gating, the
-// 1+Poisson(1) exchange distribution, and agreement with the cycle
-// driver's convergence factor.
+// convergence under real delays, timeouts against crashed peers, a
+// crashed node's silence, epoch restart and epidemic epoch
+// synchronization, join gating, the 1+Poisson(1) exchange distribution,
+// determinism by seed, and agreement with the cycle driver's convergence
+// factor.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/require.hpp"
-#include "net/trace.hpp"
 #include "proto/node.hpp"
 #include "proto/world.hpp"
 #include "stats/running_stats.hpp"
@@ -346,16 +349,69 @@ TEST(ProtoWorld, GeometricMeanConverges) {
   EXPECT_LT(s.max - s.min, 0.1);
 }
 
-TEST(ProtoWorld, DeterministicBySeed) {
-  const auto run_once = [] {
-    World w(small_world(150, 51));
-    net::TraceLog trace;
-    w.network().attach_trace(&trace);
-    w.start();
-    w.run_cycles(12);
-    return trace.digest();
+TEST(ProtoWorld, CrashedNodeFallsSilent) {
+  // A crashed node neither sends nor receives: its δ timer and timeouts
+  // stop and messages in flight to it are dropped at delivery, so its
+  // counters freeze, while the live nodes keep exchanging (and time out
+  // on the pushes the dead node never answers).
+  World w(small_world(100, 59));
+  w.start();
+  w.run_cycles(3.5);  // mid-cycle: messages to the victim are in flight
+  const NodeId victim(7);
+  w.crash(victim);
+  const Node::Stats frozen = w.node(victim).stats();
+  const auto live_totals = [&w, victim] {
+    std::uint64_t completed = 0, timeouts = 0;
+    for (std::uint32_t u = 0; u < w.size(); ++u) {
+      if (NodeId(u) == victim) continue;
+      completed += w.node(NodeId(u)).stats().exchanges_completed;
+      timeouts += w.node(NodeId(u)).stats().timeouts;
+    }
+    return std::pair{completed, timeouts};
   };
-  EXPECT_EQ(run_once(), run_once());
+  const auto [completed_before, timeouts_before] = live_totals();
+  w.run_cycles(6);
+  EXPECT_EQ(w.node(victim).stats(), frozen);
+  EXPECT_FALSE(w.alive(victim));
+  const auto [completed_after, timeouts_after] = live_totals();
+  EXPECT_GT(completed_after, completed_before);
+  EXPECT_GT(timeouts_after, timeouts_before);
+  EXPECT_THROW(w.crash(victim), require_error);  // already dead
+}
+
+TEST(ProtoWorld, DeterministicBySeed) {
+  // One seed, one run, under loss, crashes and a join: every node's
+  // estimate bits and counters and the number of events executed agree.
+  struct Run {
+    std::vector<std::uint64_t> estimate_bits;
+    std::vector<Node::Stats> stats;
+    std::uint64_t executed = 0;
+  };
+  const auto run_once = [] {
+    WorldConfig cfg = small_world(150, 51);
+    cfg.p_loss = 0.1;
+    World w(cfg);
+    w.start();
+    w.run_cycles(4.5);
+    for (std::uint32_t u = 20; u < 50; ++u) w.crash(NodeId(u));
+    w.join(NodeId(3), 2.0);
+    w.run_cycles(8);
+    Run run;
+    for (std::uint32_t u = 0; u < w.size(); ++u) {
+      const Node& node = w.node(NodeId(u));
+      run.estimate_bits.push_back(
+          std::bit_cast<std::uint64_t>(node.estimate()));
+      run.stats.push_back(node.stats());
+    }
+    run.executed = w.loop().executed();
+    return run;
+  };
+  const Run a = run_once();
+  const Run b = run_once();
+  EXPECT_EQ(a.estimate_bits.size(), 151u);
+  EXPECT_EQ(a.estimate_bits, b.estimate_bits);
+  EXPECT_TRUE(a.stats == b.stats);
+  EXPECT_EQ(a.executed, b.executed);
 }
 
 TEST(ProtoWorld, NewscastViewStaysFreshUnderCrashes) {

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,8 +19,8 @@
 #include "common/require.hpp"
 #include "experiment/engine.hpp"
 #include "experiment/spec.hpp"
+#include "failure/comm_failure.hpp"
 #include "failure/failure_plan.hpp"
-#include "net/latency.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/transport.hpp"
 
@@ -101,7 +100,7 @@ TEST(Executor, LoopbackSurvivesMessageLoss) {
 // round-trips interleave with free nodes instead of all colliding.
 TEST(Executor, LoopbackDeliversDelayedFrames) {
   FaultConfig faults;
-  faults.latency = std::make_shared<net::FixedLatency>(200);  // 200 us
+  faults.latency = {failure::Latency::Kind::kFixed, 200, 0};  // 200 us
   LoopbackTransport transport(faults);
   ExecutorConfig cfg = peak_config(32, 5, 2);
   cfg.delta_us = 20000;
@@ -131,7 +130,7 @@ TEST(Executor, BatchedOutboxesKeepQuiescenceExact) {
         FaultConfig faults;
         faults.seed = seed;
         if (delayed) {
-          faults.latency = std::make_shared<net::UniformLatency>(0, 300);
+          faults.latency = {failure::Latency::Kind::kUniform, 0, 300};
         }
         LoopbackTransport transport(faults);
         ExecutorConfig cfg = peak_config(2000, 6, workers);
@@ -378,6 +377,36 @@ TEST(Executor, OneWorkerLoopbackRunsArePinned) {
     experiment::validate(*spec);
     EXPECT_EQ(runtime_digest(engine.run_single(*spec, spec->seed)),
               expected);
+  }
+}
+
+// The Engine hands runtime.latency to the transport. Each cycle settles
+// only after a push and its reply have each waited at least
+// delay_lo_us, so four cycles take at least 4 x 2 x 3 ms; a run whose
+// latency never reached the transport finishes at loopback speed.
+TEST(Executor, EngineInjectsEveryRuntimeLatency) {
+  struct Case {
+    RuntimeSpec::LatencyKind kind;
+    std::uint32_t lo_us, hi_us;
+  };
+  const Case cases[] = {
+      {RuntimeSpec::LatencyKind::kFixed, 3000, 0},
+      {RuntimeSpec::LatencyKind::kUniform, 3000, 4000},
+      {RuntimeSpec::LatencyKind::kExponential, 3000, 1000},
+  };
+  experiment::Engine engine;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(experiment::to_string(c.kind));
+    ScenarioSpec spec = ScenarioSpec::average_peak("latency", 50, 4)
+                            .with_driver(DriverKind::kRuntime);
+    spec.runtime.workers = 1;
+    spec.runtime.latency = c.kind;
+    spec.runtime.delay_lo_us = c.lo_us;
+    spec.runtime.delay_hi_us = c.hi_us;
+    const RunResult r = engine.run_single(spec, spec.seed);
+    EXPECT_DOUBLE_EQ(r.runtime_sum_final, r.runtime_sum_initial);
+    EXPECT_EQ(r.runtime_counters.timeouts, 0u);
+    EXPECT_GE(r.elapsed_seconds, 4 * 2 * 0.003);
   }
 }
 

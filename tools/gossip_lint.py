@@ -285,7 +285,7 @@ RAW_ASSERT = re.compile(r"(?<!static_)\bassert\s*\(|#\s*include\s*<(?:cassert|as
       "malformed input must fail loudly in every build type: use "
       "GOSSIP_REQUIRE (src/common/require.hpp)")
 def check_raw_assert(ctx: FileCtx) -> list[tuple[int, str]]:
-    if not ctx.in_dir("src/proto/", "src/net/", "src/runtime/"):
+    if not ctx.in_dir("src/proto/", "src/failure/", "src/runtime/"):
         return []
     return _matches(ctx, RAW_ASSERT)
 
